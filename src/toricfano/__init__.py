@@ -26,7 +26,6 @@ from .errors import (
     ValidationError,
 )
 from .fan import (
-    DEFAULT_SEED,
     CheckResult,
     Fan,
     QuotientFan,

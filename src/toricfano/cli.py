@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 from pathlib import Path
 
 from .errors import (
@@ -22,7 +21,7 @@ from .errors import (
     RegimeUnsupported,
     ValidationError,
 )
-from .fan import DEFAULT_SEED, Fan, validate
+from .fan import Fan, validate
 from .fvector import corollary_bound_table, f_vector, max_rho_bound
 from .invariants import is_fano, mukai_check, pseudo_index, wall_curves
 from .io import (
@@ -53,18 +52,18 @@ def _emit(data, fmt: str) -> None:
     sys.stdout.write(render_report(data, _normal_format(fmt)))
 
 
-def _load_unchecked(path: str, seed: int) -> Fan:
+def _load_unchecked(path: str) -> Fan:
     """Fan from a `.fan` or `.poly` file; the polytope route always
     validates as part of construction."""
     text = Path(path).read_text(encoding="utf-8")
     if Path(path).suffix == ".poly":
-        return parse_polytope_as_face_fan(text, seed=seed)
+        return parse_polytope_as_face_fan(text)
     return parse_fan_unchecked(text)
 
 
-def _load_checked(path: str, seed: int) -> Fan:
-    fan = _load_unchecked(path, seed)
-    report = validate(fan, seed=seed)
+def _load_checked(path: str) -> Fan:
+    fan = _load_unchecked(path)
+    report = validate(fan)
     if not report.ok:
         raise ValidationError(report)
     return fan
@@ -119,20 +118,20 @@ def _mukai_payload(fan: Fan) -> dict:
 
 def cmd_validate(args) -> int:
     try:
-        fan = _load_unchecked(args.path, args.seed)
+        fan = _load_unchecked(args.path)
     except ValidationError as err:
         _emit({"path": args.path, **_report_payload(err.report)}, args.format)
         return EXIT_CHECK_FAILED
     except _PARSE_ERRORS as err:
         return _fail(str(err))
-    report = validate(fan, seed=args.seed)
+    report = validate(fan)
     _emit({"path": args.path, **_report_payload(report)}, args.format)
     return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
 def cmd_invariants(args) -> int:
     try:
-        fan = _load_checked(args.path, args.seed)
+        fan = _load_checked(args.path)
     except (ValidationError, *_PARSE_ERRORS) as err:
         return _fail(str(err))
     _emit({"path": args.path, **_invariants_payload(fan)}, args.format)
@@ -141,7 +140,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_mukai(args) -> int:
     try:
-        fan = _load_checked(args.path, args.seed)
+        fan = _load_checked(args.path)
     except (ValidationError, *_PARSE_ERRORS) as err:
         return _fail(str(err))
     if not is_fano(fan):
@@ -170,10 +169,10 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _process_file(path: str, seed: int) -> dict:
+def _process_file(path: str) -> dict:
     entry: dict = {"path": path}
     try:
-        fan = _load_unchecked(path, seed)
+        fan = _load_unchecked(path)
     except ValidationError as err:
         entry["status"] = "check_failed"
         entry["detail"] = str(err)
@@ -182,7 +181,7 @@ def _process_file(path: str, seed: int) -> dict:
         entry["status"] = "parse_error"
         entry["detail"] = str(err)
         return entry
-    report = validate(fan, seed=seed)
+    report = validate(fan)
     if not report.ok:
         entry["status"] = "check_failed"
         entry["detail"] = "validation failed: " + \
@@ -208,12 +207,11 @@ def cmd_batch(args) -> int:
                             if p.suffix in (".fan", ".poly"))
     except OSError as err:
         return _fail(str(err))
-    worker = partial(_process_file, seed=args.seed)
     if args.workers > 1 and len(candidates) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            entries = list(pool.map(worker, candidates))
+            entries = list(pool.map(_process_file, candidates))
     else:
-        entries = [worker(p) for p in candidates]
+        entries = [_process_file(p) for p in candidates]
     summary = {
         "files": len(entries),
         "passed": sum(e["status"] == "ok" for e in entries),
@@ -237,8 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
                         choices=("text", "json", "json-like-structured"),
                         help="report rendering (json-like-structured is an "
                              "alias for json)")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="seed for the randomized completeness check")
     parser = argparse.ArgumentParser(
         prog="toricfano",
         description="Exact checks for smooth complete toric fans: "

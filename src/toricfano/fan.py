@@ -9,7 +9,6 @@ empty tuple is the zero cone.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -19,16 +18,10 @@ from .errors import (
     ConeTooSmall,
     DimensionOutOfRange,
     NotACone,
-    SingularBasis,
 )
 from .lattice import IntegerMatrix, IntVector
 
 ConeRef = tuple[int, ...]
-
-DEFAULT_SEED = 101
-_LOCATION_TRIALS = 5
-_RESAMPLE_LIMIT = 64
-_COORD_BOUND = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -132,10 +125,8 @@ def _check_coverage(fan: Fan) -> CheckResult:
     return CheckResult("ray_coverage", True)
 
 
-def _check_smoothness(fan: Fan) -> CheckResult:
-    for c in fan.max_cones:
-        d = lattice.determinant(
-            IntegerMatrix.from_rows([fan.rays[i] for i in c]))
+def _check_smoothness(fan: Fan, dets: Sequence[int]) -> CheckResult:
+    for c, d in zip(fan.max_cones, dets):
         if abs(d) != 1:
             return CheckResult("smoothness", False,
                                f"cone {c} has determinant {d}")
@@ -155,63 +146,73 @@ def _check_facet_pairing(fan: Fan) -> CheckResult:
     return CheckResult("facet_pairing", True)
 
 
-def _check_generic_direction(fan: Fan, seed: int, trials: int) -> CheckResult:
-    # Facet pairing alone admits multi-sheeted pathologies; locating a few
-    # pseudorandom directions rules those out at desk scale.
-    rng = random.Random(seed)
-    bases = [[fan.rays[i] for i in c] for c in fan.max_cones]
-    done = 0
-    attempts = 0
-    while done < trials:
-        if attempts >= trials * _RESAMPLE_LIMIT:
-            return CheckResult("generic_direction", False,
-                               "could not sample a generic direction")
-        attempts += 1
-        point = tuple(rng.randint(-_COORD_BOUND, _COORD_BOUND)
-                      for _ in range(fan.dim))
-        if all(x == 0 for x in point):
-            continue
-        interior = 0
-        boundary = False
-        for basis in bases:
-            try:
-                coeffs = lattice.solve_in_basis(basis, point)
-            except SingularBasis:
-                return CheckResult("generic_direction", False,
-                                   "degenerate maximal cone")
-            if all(c >= 0 for c in coeffs):
-                if any(c == 0 for c in coeffs):
-                    boundary = True
-                    break
-                interior += 1
-        if boundary:
-            continue
-        if interior != 1:
-            return CheckResult(
-                "generic_direction", False,
-                f"direction {point} lies in {interior} maximal cones")
-        done += 1
-    return CheckResult("generic_direction", True)
+def _check_covering_degree(fan: Fan, dets: Sequence[int]) -> CheckResult:
+    """Decide whether the cones cover R^n exactly once.
 
+    Runs after every other check has passed, so each wall (facet) lies in
+    exactly two full-dimensional cones. Wall orientation: the ray of a
+    sorted cone c at position p lies on side sign(det c) * (-1)^(n-1-p) of
+    the wall c minus p (the sign of the determinant with that ray moved
+    last), and the two cones at a wall must put their opposite rays on
+    opposite sides. Facet pairing plus this coherent orientation make the
+    number of cones over a generic point the same everywhere: it equals the
+    covering degree d of the cones over the sphere. Every direction then
+    lies in relatively open faces whose positive local degrees sum to d, so
+    d = 1 puts it in exactly one face: the cones form a complete fan.
 
-def validate(fan: Fan, seed: int = DEFAULT_SEED,
-             trials: int = _LOCATION_TRIALS) -> ValidationReport:
-    """Check primitivity, distinctness, coverage, smoothness, facet-pairing
-    completeness, and the generic-direction location sanity check.
-
-    Returns a structured report; mathematically invalid fans never raise.
+    Point test: p, the sum of the rays of max_cones[0], is interior to that
+    cone, so d >= 2 puts p in a second closed maximal cone. Conversely, in
+    a true fan a closed cone that contains an interior point of
+    max_cones[0] must equal it. So d = 1 exactly when p lies in no other
+    closed maximal cone.
     """
+    n = fan.dim
+    sides: dict[ConeRef, tuple[ConeRef, int]] = {}
+    for c, d in zip(fan.max_cones, dets):
+        for p in range(n):
+            wall = c[:p] + c[p + 1:]
+            side = d * (-1) ** (n - 1 - p)
+            if wall not in sides:
+                sides[wall] = (c, side)
+            elif sides[wall][1] == side:
+                return CheckResult(
+                    "covering_degree", False,
+                    f"cones {sides[wall][0]} and {c} lie on the same side "
+                    f"of wall {wall}")
+    first = fan.max_cones[0]
+    point = lattice.vector_sum([fan.rays[i] for i in first], n)
+    for c in fan.max_cones[1:]:
+        coeffs = lattice.solve_in_basis([fan.rays[i] for i in c], point)
+        if all(x >= 0 for x in coeffs):
+            return CheckResult(
+                "covering_degree", False,
+                f"interior point {point} of cone {first} also lies in "
+                f"cone {c}")
+    return CheckResult("covering_degree", True)
+
+
+def validate(fan: Fan) -> ValidationReport:
+    """Check primitivity, distinctness, coverage, smoothness, facet-pairing
+    completeness, and the covering degree: coherent wall orientation plus
+    one exact point test, so the cones cover R^n exactly once.
+
+    Deterministic; returns a structured report, and mathematically invalid
+    fans never raise.
+    """
+    dets = [lattice.determinant(
+        IntegerMatrix.from_rows([fan.rays[i] for i in c]))
+        for c in fan.max_cones]
     checks = [
         _check_primitivity(fan),
         _check_distinctness(fan),
         _check_coverage(fan),
-        _check_smoothness(fan),
+        _check_smoothness(fan, dets),
         _check_facet_pairing(fan),
     ]
     if all(c.passed for c in checks):
-        checks.append(_check_generic_direction(fan, seed, trials))
+        checks.append(_check_covering_degree(fan, dets))
     else:
-        checks.append(CheckResult("generic_direction", False,
+        checks.append(CheckResult("covering_degree", False,
                                   "not attempted: earlier checks failed"))
     return ValidationReport(tuple(checks))
 

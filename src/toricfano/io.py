@@ -20,7 +20,7 @@ from .errors import (
     OriginNotInterior,
     ValidationError,
 )
-from .fan import DEFAULT_SEED, Fan, make_fan, validate
+from .fan import Fan, make_fan, validate
 
 
 def _significant_lines(text: str) -> list[tuple[int, list[str]]]:
@@ -79,11 +79,14 @@ def _take_rows(lines: list[tuple[int, list[str]]], start: int, count: int,
 def parse_fan_unchecked(text: str) -> Fan:
     """Parse the `.fan` grammar without running mathematical validation."""
     lines = _significant_lines(text)
-    _, (n, m, c) = _parse_header(lines, "FAN", 3)
+    header, (n, m, c) = _parse_header(lines, "FAN", 3)
     ray_rows = _take_rows(lines, 1, m, n, "ray")
     cone_rows = _take_rows(lines, 1 + m, c, n, "cone")
     if len(lines) > 1 + m + c:
         raise FanSyntaxError(lines[1 + m + c][0], "trailing content")
+    if m == 0 or c == 0:
+        raise FanSyntaxError(header, "a fan needs at least one ray and one "
+                                     "maximal cone")
     rays = [tuple(row) for _, row in ray_rows]
     cones = []
     for line, row in cone_rows:
@@ -97,10 +100,10 @@ def parse_fan_unchecked(text: str) -> Fan:
     return make_fan(n, rays, cones)
 
 
-def parse_fan(text: str, seed: int = DEFAULT_SEED) -> Fan:
+def parse_fan(text: str) -> Fan:
     """Parse and validate; raises ValidationError naming any failed check."""
     fan = parse_fan_unchecked(text)
-    report = validate(fan, seed=seed)
+    report = validate(fan)
     if not report.ok:
         raise ValidationError(report)
     return fan
@@ -160,7 +163,7 @@ def _facet_scan(vertices: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, 
     return sorted(facets)
 
 
-def parse_polytope_as_face_fan(text: str, seed: int = DEFAULT_SEED) -> Fan:
+def parse_polytope_as_face_fan(text: str) -> Fan:
     """Parse the `.poly` grammar and return the validated face fan of the
     convex hull of the vertices."""
     lines = _significant_lines(text)
@@ -174,7 +177,7 @@ def parse_polytope_as_face_fan(text: str, seed: int = DEFAULT_SEED) -> Fan:
             f"{m} vertices cannot enclose the origin in dimension {n}")
     cones = _facet_scan(vertices, n)
     fan = make_fan(n, vertices, cones)
-    report = validate(fan, seed=seed)
+    report = validate(fan)
     if not report.ok:
         raise ValidationError(report)
     return fan

@@ -50,9 +50,6 @@ class IntegerMatrix:
     def row_list(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def column(self, j: int) -> IntVector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def transpose(self) -> "IntegerMatrix":
         return IntegerMatrix(
             self.cols, self.rows,
@@ -64,10 +61,6 @@ class IntegerMatrix:
             raise ValueError("vector length must equal cols")
         return tuple(sum(self.row(i)[j] * v[j] for j in range(self.cols))
                      for i in range(self.rows))
-
-
-def vector_add(a: Sequence[int], b: Sequence[int]) -> IntVector:
-    return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
 def vector_sum(vectors: Sequence[Sequence[int]], dim: int) -> IntVector:

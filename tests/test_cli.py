@@ -12,6 +12,8 @@ from toricfano.oracle import corpus_directory
 PLANE = "FAN 2 3 3\n1 0\n0 1\n-1 -1\n0 1\n1 2\n0 2\n"
 INCOMPLETE = "FAN 2 3 2\n1 0\n0 1\n-1 -1\n0 1\n1 2\n"
 HIRZEBRUCH = "FAN 2 4 4\n1 0\n0 1\n-1 2\n0 -1\n0 1\n1 2\n2 3\n0 3\n"
+NO_RAYS = "FAN 2 0 0\n"
+NO_CONES = "FAN 2 2 0\n1 0\n0 1\n"
 
 
 @pytest.fixture
@@ -42,9 +44,10 @@ def test_validate_missing_file(capsys):
 
 def test_validate_syntax_error_exit(tmp_path, capsys):
     path = tmp_path / "bad.fan"
-    path.write_text("FAN 2 3 3\n1 0\n")
-    assert main(["validate", str(path)]) == 2
-    assert "line" in capsys.readouterr().err
+    for text in ("FAN 2 3 3\n1 0\n", NO_RAYS, NO_CONES):
+        path.write_text(text)
+        assert main(["validate", str(path)]) == 2
+        assert "line" in capsys.readouterr().err
 
 
 def test_invariants_json(plane_file, capsys):
@@ -125,9 +128,11 @@ def test_batch_is_deterministic(tmp_path, capsys):
 def test_batch_records_corrupt_files_without_failing(tmp_path, capsys):
     (tmp_path / "plane.fan").write_text(PLANE)
     (tmp_path / "corrupt.fan").write_text("FAN 2 3 3\n1 0\nbroken\n")
+    (tmp_path / "no_rays.fan").write_text(NO_RAYS)
+    (tmp_path / "no_cones.fan").write_text(NO_CONES)
     assert main(["batch", str(tmp_path), "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["summary"]["parse_errors"] == 1
+    assert data["summary"]["parse_errors"] == 3
     assert data["summary"]["passed"] == 1
 
 

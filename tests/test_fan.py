@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricfano.errors import ConeTooSmall, DimensionOutOfRange, NotACone
 from toricfano.fan import (
@@ -76,11 +78,96 @@ def test_validate_catches_singular_cone():
     assert "smoothness" in report.failed_names
 
 
-def test_validate_is_seed_deterministic():
+def test_validate_is_deterministic():
     fan = construct_projective_space(3)
-    first = validate(fan, seed=7)
-    second = validate(fan, seed=7)
+    first = validate(fan)
+    second = validate(fan)
     assert first == second
+
+
+# Fifteen rays in cyclic order, every consecutive determinant 1: the plane
+# is covered twice.
+WOUND_RAYS = [(1, 0), (-3, 1), (-1, 0), (-3, -1), (-2, -1), (-3, -2),
+              (-1, -1), (-2, -3), (-1, -2), (-1, -3), (1, 2), (0, 1),
+              (-1, 1), (-3, 2), (1, -1)]
+_M = len(WOUND_RAYS)
+
+# name -> (fan, expected covering_degree detail)
+ADVERSARIAL = {
+    "doubly_wound": (
+        make_fan(2, WOUND_RAYS, [(i, (i + 1) % _M) for i in range(_M)]),
+        "interior point (-5, -3) of cone (0, 5) also lies in cone (3, 12)"),
+    # The suspension winds twice around the third axis.
+    "doubly_wound_suspension": (
+        make_fan(3, [r + (0,) for r in WOUND_RAYS] + [(0, 0, 1), (0, 0, -1)],
+                 [(i, (i + 1) % _M, pole)
+                  for i in range(_M) for pole in (_M, _M + 1)]),
+        "interior point (-5, -3, -1) of cone (0, 5, 11) also lies in "
+        "cone (3, 11, 14)"),
+    # Smooth and facet-paired, but folded over at one wall.
+    "folded": (
+        make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2), (1, 2)]),
+        "cones (0, 1) and (0, 2) lie on the same side of wall (0,)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ADVERSARIAL))
+def test_covering_degree_rejects_adversarial_fans(name):
+    fan, detail = ADVERSARIAL[name]
+    report = validate(fan)
+    assert report.failed_names == ["covering_degree"]
+    assert report.checks[-1].detail == detail
+
+
+def test_covering_degree_accepts_projective_line():
+    # n = 1: the empty cone is the only wall.
+    report = validate(construct_projective_space(1))
+    assert report.ok
+    assert report.checks[-1].name == "covering_degree"
+
+
+def _transformed(fan, data):
+    """The fan under a random ray relabelling and a random GL(n, Z) change
+    of coordinates, drawn as a product of elementary +-1 matrices; a step
+    with i == j negates a row, so the determinant may be -1."""
+    n = fan.dim
+    matrix = [[int(i == j) for j in range(n)] for i in range(n)]
+    steps = data.draw(st.lists(st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1),
+        st.sampled_from((1, -1))), max_size=8))
+    for i, j, sign in steps:
+        if i == j:
+            matrix[i] = [-x for x in matrix[i]]
+        else:
+            matrix[i] = [x + sign * y for x, y in zip(matrix[i], matrix[j])]
+    order = data.draw(st.permutations(range(len(fan.rays))))
+    position = {old: new for new, old in enumerate(order)}
+    rays = [tuple(sum(a * b for a, b in zip(row, fan.rays[old]))
+                  for row in matrix) for old in order]
+    cones = [[position[i] for i in c] for c in fan.max_cones]
+    return make_fan(n, rays, cones)
+
+
+def _assert_invariant(fan, data):
+    before = validate(fan)
+    after = validate(_transformed(fan, data))
+    assert after.ok == before.ok
+    assert after.failed_names == before.failed_names
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_validate_invariant_under_relabelling_and_gl_n_z(corpus_fans, data):
+    small = sorted(name for name, fan in corpus_fans.items()
+                   if len(fan.rays) <= 12)
+    _assert_invariant(corpus_fans[data.draw(st.sampled_from(small))], data)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_adversarial_fans_fail_under_relabelling_and_gl_n_z(data):
+    fan, _ = ADVERSARIAL[data.draw(st.sampled_from(sorted(ADVERSARIAL)))]
+    _assert_invariant(fan, data)
 
 
 def test_faces_counts_and_bounds():
