@@ -24,11 +24,7 @@ from .errors import (
 from .fan import Fan, validate
 from .fvector import corollary_bound_table, f_vector, max_rho_bound
 from .invariants import is_fano, mukai_check, pseudo_index, wall_curves
-from .io import (
-    parse_fan_unchecked,
-    parse_polytope_as_face_fan,
-    render_report,
-)
+from .io import parse_fan_unchecked, parse_polytope_unchecked, render_report
 from .primitive import all_relations
 
 EXIT_OK = 0
@@ -53,11 +49,10 @@ def _emit(data, fmt: str) -> None:
 
 
 def _load_unchecked(path: str) -> Fan:
-    """Fan from a `.fan` or `.poly` file; the polytope route always
-    validates as part of construction."""
+    """Fan from a `.fan` or `.poly` file, not yet validated."""
     text = Path(path).read_text(encoding="utf-8")
     if Path(path).suffix == ".poly":
-        return parse_polytope_as_face_fan(text)
+        return parse_polytope_unchecked(text)
     return parse_fan_unchecked(text)
 
 
@@ -119,9 +114,6 @@ def _mukai_payload(fan: Fan) -> dict:
 def cmd_validate(args) -> int:
     try:
         fan = _load_unchecked(args.path)
-    except ValidationError as err:
-        _emit({"path": args.path, **_report_payload(err.report)}, args.format)
-        return EXIT_CHECK_FAILED
     except _PARSE_ERRORS as err:
         return _fail(str(err))
     report = validate(fan)
@@ -173,10 +165,6 @@ def _process_file(path: str) -> dict:
     entry: dict = {"path": path}
     try:
         fan = _load_unchecked(path)
-    except ValidationError as err:
-        entry["status"] = "check_failed"
-        entry["detail"] = str(err)
-        return entry
     except _PARSE_ERRORS as err:
         entry["status"] = "parse_error"
         entry["detail"] = str(err)

@@ -1,17 +1,19 @@
-"""The Fan data type: validation, face enumeration, constructors, star
+"""The Fan data type: validation, the face table, constructors, star
 subdivision, and invariant-subvariety (quotient) fans.
 
 A fan is stored combinatorially: an ambient rank, a tuple of primitive ray
 generators, and the maximal cones as sorted index tuples into the ray list.
 Cone references throughout the package are plain sorted index tuples; the
-empty tuple is the zero cone.
+empty tuple is the zero cone. Data derived from a fan (its face table,
+primitive collections and relations, wall curves) is computed at most once
+per Fan object through Fan.cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import lattice
 from .errors import (
@@ -22,6 +24,7 @@ from .errors import (
 from .lattice import IntegerMatrix, IntVector
 
 ConeRef = tuple[int, ...]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,21 @@ class Fan:
         """The dim x len(rays) matrix whose columns are the rays."""
         return IntegerMatrix.from_rows(
             [[r[i] for r in self.rays] for i in range(self.dim)])
+
+    def cached(self, compute: Callable[["Fan"], T]) -> T:
+        """compute(self), computed on the first call with this compute
+        function and kept for the lifetime of this Fan.
+
+        A Fan never changes, so the value never goes stale. The memo lives
+        in the instance dictionary, outside the dataclass fields, so it
+        takes no part in equality, hashing or repr. Public functions that
+        return a cached value hand out fresh lists or immutable values, so
+        no caller can change what the next caller sees.
+        """
+        memo = self.__dict__.setdefault("_cached", {})
+        if compute not in memo:
+            memo[compute] = compute(self)
+        return memo[compute]
 
 
 def make_fan(dim: int, rays: Sequence[Sequence[int]],
@@ -221,15 +239,35 @@ def validate(fan: Fan) -> ValidationReport:
 # faces
 
 
+def _build_face_table(fan: Fan) -> tuple[frozenset[ConeRef], ...]:
+    levels = [frozenset(fan.max_cones)]
+    for k in range(fan.dim, 0, -1):
+        levels.append(frozenset(face[:i] + face[i + 1:]
+                                for face in levels[-1] for i in range(k)))
+    return tuple(reversed(levels))
+
+
+def face_table(fan: Fan) -> tuple[frozenset[ConeRef], ...]:
+    """Every cone of the fan, grouped by dimension: entry j is the set of
+    j-dimensional cones as sorted index tuples, from {()} at j = 0 to the
+    maximal cones at j = dim.
+
+    Level dim is max_cones, and level k-1 is every face of level k with one
+    index dropped, so the table holds each cone once however many maximal
+    cones contain it. Built at most once per Fan.
+    """
+    return fan.cached(_build_face_table)
+
+
 def faces(fan: Fan, j: int) -> list[ConeRef]:
-    """All distinct j-dimensional cones, as sorted index tuples.
+    """All distinct j-dimensional cones, as a sorted list of sorted index
+    tuples: level j of the face table.
 
     faces(fan, 0) is the singleton list holding the zero cone ().
     """
     if not 0 <= j <= fan.dim:
         raise DimensionOutOfRange(f"j={j} outside 0..{fan.dim}")
-    out = {sub for c in fan.max_cones for sub in combinations(c, j)}
-    return sorted(out)
+    return sorted(face_table(fan)[j])
 
 
 def is_cone(fan: Fan, ref: Sequence[int]) -> bool:

@@ -24,7 +24,7 @@ from .errors import (
     NotFano,
     RegimeUnsupported,
 )
-from .fan import Fan, faces
+from .fan import Fan, face_table
 from .invariants import is_fano, pseudo_index, wall_curves
 
 
@@ -50,9 +50,9 @@ class FVector:
 
 
 def f_vector(fan: Fan) -> FVector:
-    """Count the cones of each dimension."""
-    return FVector(fan.dim,
-                   tuple(len(faces(fan, j)) for j in range(fan.dim + 1)))
+    """Count the cones of each dimension: the sizes of the levels of the
+    fan's face table, which is built at most once per Fan."""
+    return FVector(fan.dim, tuple(len(level) for level in face_table(fan)))
 
 
 def euler_relation_holds(fv: FVector) -> bool:

@@ -41,8 +41,7 @@ class WallCurve:
     anticanonical_degree: int
 
 
-def wall_curves(fan: Fan) -> list[WallCurve]:
-    """One WallCurve per codimension-1 face, in canonical wall order."""
+def _wall_curves(fan: Fan) -> tuple[WallCurve, ...]:
     pairing: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for c in fan.max_cones:
         for facet in combinations(c, fan.dim - 1):
@@ -72,7 +71,13 @@ def wall_curves(fan: Fan) -> list[WallCurve]:
             vec[idx] = -int(coeff)
         degree = sum(vec)
         out.append(WallCurve(wall, tuple(sorted((u, v))), tuple(vec), degree))
-    return out
+    return tuple(out)
+
+
+def wall_curves(fan: Fan) -> list[WallCurve]:
+    """One WallCurve per codimension-1 face, in canonical wall order.
+    Computed at most once per Fan."""
+    return list(fan.cached(_wall_curves))
 
 
 # ---------------------------------------------------------------------------
@@ -142,29 +147,6 @@ def _primitive_direction(v: Sequence[Fraction]) -> tuple[int, ...]:
     return lattice.make_primitive(ints)
 
 
-def _rank(rows: Sequence[Sequence[int]]) -> int:
-    if not rows:
-        return 0
-    work = [[Fraction(x) for x in r] for r in rows]
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col] != 0),
-                   None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = work[rank][col]
-        work[rank] = [x / inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y
-                           for x, y in zip(work[r], work[rank])]
-        rank += 1
-    return rank
-
-
 def _dual_extreme_rays(constraints: list[tuple[int, ...]],
                        dim: int) -> list[tuple[int, ...]]:
     """Extreme rays of { y : a . y >= 0 for all a } by incremental double
@@ -219,7 +201,9 @@ def _dual_extreme_rays(constraints: list[tuple[int, ...]],
             common = tight[i] & tight[j]
             # Algebraic adjacency: the shared tight constraints must cut the
             # pointed part down to a 2-face.
-            if _rank([constraints[c] for c in common]) != free_dim - 2:
+            common_rows = [constraints[c] for c in common]
+            if lattice.matrix_rank(lattice.IntegerMatrix.from_rows(
+                    common_rows)) != free_dim - 2:
                 continue
             new = tuple(values[i] * y - values[j] * x
                         for x, y in zip(rays[i], rays[j]))
@@ -242,7 +226,8 @@ def _extremal_flags(vectors: list[FracVector]) -> list[bool]:
     # Coordinates inside the span keep the double description full-rank.
     span_basis: list[tuple[int, ...]] = []
     for v in unique:
-        if _rank(span_basis + [v]) > len(span_basis):
+        if lattice.matrix_rank(lattice.IntegerMatrix.from_rows(
+                span_basis + [v])) > len(span_basis):
             span_basis.append(v)
     r = len(span_basis)
     coords = [_primitive_direction(_solve_in_span(span_basis, v))
@@ -255,7 +240,8 @@ def _extremal_flags(vectors: list[FracVector]) -> list[bool]:
     extremal: dict[tuple[int, ...], bool] = {}
     for v, c in zip(unique, coords):
         tight = [f for f in facet_normals if dot(f, c) == 0]
-        extremal[v] = _rank(tight) == r - 1
+        extremal[v] = lattice.matrix_rank(
+            lattice.IntegerMatrix.from_rows(tight)) == r - 1
     return [extremal[p] for p in primitive]
 
 

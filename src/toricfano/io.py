@@ -163,9 +163,9 @@ def _facet_scan(vertices: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, 
     return sorted(facets)
 
 
-def parse_polytope_as_face_fan(text: str) -> Fan:
-    """Parse the `.poly` grammar and return the validated face fan of the
-    convex hull of the vertices."""
+def parse_polytope_unchecked(text: str) -> Fan:
+    """Parse the `.poly` grammar and return the face fan of the convex hull
+    of the vertices, without running mathematical validation."""
     lines = _significant_lines(text)
     _, (n, m) = _parse_header(lines, "POLY", 2)
     vertex_rows = _take_rows(lines, 1, m, n, "vertex")
@@ -175,8 +175,14 @@ def parse_polytope_as_face_fan(text: str) -> Fan:
     if m < n + 1:
         raise OriginNotInterior(
             f"{m} vertices cannot enclose the origin in dimension {n}")
-    cones = _facet_scan(vertices, n)
-    fan = make_fan(n, vertices, cones)
+    return make_fan(n, vertices, _facet_scan(vertices, n))
+
+
+def parse_polytope_as_face_fan(text: str) -> Fan:
+    """Parse the `.poly` grammar and return the validated face fan of the
+    convex hull of the vertices; raises ValidationError naming any failed
+    check."""
+    fan = parse_polytope_unchecked(text)
     report = validate(fan)
     if not report.ok:
         raise ValidationError(report)

@@ -19,7 +19,7 @@ from .errors import (
     NonIntegralCoefficient,
     NotInSupport,
 )
-from .fan import Fan
+from .fan import Fan, face_table
 
 Collection = tuple[int, ...]
 
@@ -36,40 +36,48 @@ class PrimitiveRelation:
     class_vector: tuple[int, ...]
 
 
-def _face_set(fan: Fan) -> set[frozenset[int]]:
-    out: set[frozenset[int]] = set()
-    for c in fan.max_cones:
-        for size in range(len(c) + 1):
-            for sub in combinations(c, size):
-                out.add(frozenset(sub))
-    return out
+def _minimal_non_faces(fan: Fan) -> tuple[Collection, ...]:
+    table = face_table(fan)
+    found: list[Collection] = []
+    # A minimal non-face has all its (s-1)-subsets spanning cones, so its
+    # size is at most dim + 1.
+    for s in range(2, fan.dim + 2):
+        below = table[s - 1]
+        level = table[s] if s <= fan.dim else frozenset()
+        groups: dict[Collection, list[int]] = {}
+        for face in sorted(below):
+            groups.setdefault(face[:-1], []).append(face[-1])
+        for prefix, lasts in groups.items():
+            for a, b in combinations(lasts, 2):
+                cand = prefix + (a, b)
+                if cand in level:
+                    continue
+                # Dropping a or b gives a face of this group already.
+                if all(cand[:i] + cand[i + 1:] in below
+                       for i in range(s - 2)):
+                    found.append(cand)
+    # Prefixes arrive in increasing order and each group's pairs are
+    # lexicographic, so found is already in (size, tuple) order.
+    return tuple(found)
 
 
 def primitive_collections(fan: Fan) -> list[Collection]:
-    """All primitive collections, sorted by size then lexicographically.
+    """All primitive collections (minimal non-faces), sorted by size then
+    lexicographically.
 
-    Candidates are scanned by increasing cardinality; a set qualifies iff it
-    is a non-face whose maximal proper subsets are all faces. Supersets of
-    collections already found are pruned before the subset test.
+    Candidates come from Apriori-style joins over the face table: for each
+    size s, faces of size s-1 are grouped by their first s-2 indices, and
+    each pair a < b of last indices in a group gives prefix + (a, b). A
+    candidate qualifies iff it is not a face and every facet made by
+    dropping a prefix index is a face; the facets made by dropping a or b
+    are faces of the group. Supersets of smaller collections fail that test.
+
+    Completeness: a minimal non-face S of size s >= 2 has every proper
+    subset a face, in particular S minus its last index and S minus its
+    second-to-last index. These two faces of size s-1 share the prefix
+    S[:s-2], so their join produces S. Computed at most once per Fan.
     """
-    m = len(fan.rays)
-    fs = _face_set(fan)
-    found: list[Collection] = []
-    found_sets: list[frozenset[int]] = []
-    # A minimal non-face has all its (s-1)-subsets spanning cones, so its
-    # size is at most dim + 1.
-    for size in range(2, min(m, fan.dim + 1) + 1):
-        for cand in combinations(range(m), size):
-            cs = frozenset(cand)
-            if cs in fs:
-                continue
-            if any(f <= cs for f in found_sets):
-                continue
-            if all(cs - {i} in fs for i in cand):
-                found.append(cand)
-                found_sets.append(cs)
-    found.sort(key=lambda c: (len(c), c))
-    return found
+    return list(fan.cached(_minimal_non_faces))
 
 
 def primitive_relation(fan: Fan, collection: Sequence[int]) -> PrimitiveRelation:
@@ -125,9 +133,15 @@ def primitive_relation(fan: Fan, collection: Sequence[int]) -> PrimitiveRelation
     return relation
 
 
+def _relations(fan: Fan) -> tuple[PrimitiveRelation, ...]:
+    return tuple(primitive_relation(fan, c)
+                 for c in primitive_collections(fan))
+
+
 def all_relations(fan: Fan) -> list[PrimitiveRelation]:
-    """Primitive relations of every primitive collection, in collection order."""
-    return [primitive_relation(fan, c) for c in primitive_collections(fan)]
+    """Primitive relations of every primitive collection, in collection
+    order. Computed at most once per Fan."""
+    return list(fan.cached(_relations))
 
 
 def degrees_summary(fan: Fan) -> list[tuple[int, int]]:

@@ -14,6 +14,8 @@ INCOMPLETE = "FAN 2 3 2\n1 0\n0 1\n-1 -1\n0 1\n1 2\n"
 HIRZEBRUCH = "FAN 2 4 4\n1 0\n0 1\n-1 2\n0 -1\n0 1\n1 2\n2 3\n0 3\n"
 NO_RAYS = "FAN 2 0 0\n"
 NO_CONES = "FAN 2 2 0\n1 0\n0 1\n"
+# The origin is interior, but the cone on (1, 0) and (-1, -2) is singular.
+SINGULAR_TRIANGLE = "POLY 2 3\n1 0\n0 1\n-1 -2\n"
 
 
 @pytest.fixture
@@ -176,3 +178,19 @@ def test_poly_files_accepted(capsys):
     assert main(["mukai", path, "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["factors"] == [1, 1, 1]
+
+
+def test_failing_poly_route(tmp_path, capsys):
+    path = tmp_path / "triangle.poly"
+    path.write_text(SINGULAR_TRIANGLE)
+    assert main(["validate", str(path), "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == \
+        ["smoothness", "covering_degree"]
+    assert main(["mukai", str(path)]) == 2
+    assert "validation failed: smoothness" in capsys.readouterr().err
+    assert main(["batch", str(tmp_path), "--format", "json"]) == 1
+    entry, = json.loads(capsys.readouterr().out)["entries"]
+    assert entry["status"] == "check_failed"
+    assert entry["detail"] == "validation failed: smoothness, covering_degree"

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+from functools import reduce
+from math import comb
+
 import pytest
 
 from toricfano.errors import NonIntegralCoefficient
 from toricfano.fan import (
     construct_product,
     construct_projective_space,
+    faces,
     is_cone,
     make_fan,
     star_subdivision,
 )
+from toricfano.fvector import f_vector
+from toricfano.invariants import wall_curves
 from toricfano.primitive import (
     all_relations,
     degrees_summary,
@@ -84,3 +90,51 @@ def test_relation_classes_lie_in_ray_matrix_kernel():
     matrix = fan.ray_matrix()
     for rel in all_relations(fan):
         assert matrix.mul_vector(rel.class_vector) == (0,) * fan.dim
+
+
+def test_closed_forms_beyond_the_oracle_limit():
+    # (P^1)^10 has 20 rays, past the oracle's 16-ray limit; P^14 has one
+    # collection of size dim + 1, the largest the joins can produce.
+    lines = reduce(construct_product, [construct_projective_space(1)] * 10)
+    pairs = {frozenset((i, lines.rays.index(tuple(-x for x in r))))
+             for i, r in enumerate(lines.rays)}
+    assert len(pairs) == 10
+    assert {frozenset(c) for c in primitive_collections(lines)} == pairs
+    assert f_vector(lines).f == tuple(comb(10, k) * 2 ** k
+                                      for k in range(11))
+    p14 = construct_projective_space(14)
+    assert primitive_collections(p14) == [tuple(range(15))]
+    assert f_vector(p14).f == tuple(comb(15, k) for k in range(15))
+
+
+def _blown_up_product():
+    fan = construct_product(construct_projective_space(2),
+                            construct_projective_space(1))
+    return star_subdivision(fan, (0, 1))
+
+
+def test_cached_results_are_fresh_and_agree_across_equal_fans():
+    fan = _blown_up_product()
+    readers = (primitive_collections, all_relations, wall_curves,
+               lambda f: faces(f, 2))
+    for reader in readers:
+        reader(fan).clear()
+    results = [reader(fan) for reader in readers]
+    assert all(results)
+    other = _blown_up_product()
+    assert other == fan and hash(other) == hash(fan)
+    assert [reader(other) for reader in readers] == results
+
+
+def test_fan_cached_computes_once_per_fan():
+    fan = _blown_up_product()
+    calls = []
+
+    def compute(f):
+        calls.append(f)
+        return len(calls)
+
+    assert fan.cached(compute) == 1
+    assert fan.cached(compute) == 1
+    assert _blown_up_product().cached(compute) == 2
+    assert calls == [fan, fan]
