@@ -31,8 +31,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
+# UnicodeDecodeError: a file that is not UTF-8 text is an input error.
 _PARSE_ERRORS = (FanSyntaxError, OriginNotInterior, NonSimplicialFacet,
-                 OSError)
+                 OSError, UnicodeDecodeError)
 
 
 def _fail(message: str) -> int:

@@ -151,12 +151,20 @@ def _check_smoothness(fan: Fan, dets: Sequence[int]) -> CheckResult:
     return CheckResult("smoothness", True)
 
 
-def _check_facet_pairing(fan: Fan) -> CheckResult:
-    counts: dict[ConeRef, int] = {}
+def wall_map(fan: Fan) -> dict[ConeRef, list[tuple[ConeRef, int]]]:
+    """Each codimension-1 face (wall) of the maximal cones -> the pairs
+    (cone, position) of the maximal cones containing it, in max_cones
+    order. The wall is the cone with the index at that position dropped,
+    so cone[position] is the cone's ray off the wall."""
+    walls: dict[ConeRef, list[tuple[ConeRef, int]]] = {}
     for c in fan.max_cones:
-        for facet in combinations(c, fan.dim - 1):
-            counts[facet] = counts.get(facet, 0) + 1
-    bad = sorted(f for f, k in counts.items() if k != 2)
+        for p in range(fan.dim):
+            walls.setdefault(c[:p] + c[p + 1:], []).append((c, p))
+    return walls
+
+
+def _check_facet_pairing(fan: Fan) -> CheckResult:
+    bad = sorted(w for w, sides in wall_map(fan).items() if len(sides) != 2)
     if bad:
         return CheckResult(
             "facet_pairing", False,

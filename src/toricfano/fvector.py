@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Sequence
 
+from . import lattice
 from .errors import (
     DimensionOutOfRange,
     FormulaDiscrepancy,
@@ -101,32 +102,26 @@ def ds_tail_from_prefix(n: int, prefix: Sequence[int]) -> tuple[Fraction, ...]:
         raise ValueError(f"prefix must hold the {k + 1} counts f_-1..f_{k - 1}")
     unknowns = n - k
 
-    def h_parts(j: int) -> tuple[Fraction, list[Fraction]]:
-        const = Fraction(0)
-        coeffs = [Fraction(0)] * unknowns
+    def h_parts(j: int) -> tuple[int, list[int]]:
+        const = 0
+        coeffs = [0] * unknowns
         for i in range(j + 1):
             c = (-1) ** (j - i) * comb(n - i, j - i)
             if i <= k:
-                const += c * Fraction(prefix[i])
+                const += c * prefix[i]
             else:
                 coeffs[i - k - 1] += c
         return const, coeffs
 
-    rows: list[list[Fraction]] = []
+    # Row i of the system is h_i - h_{n-i} = 0, unknowns moved left.
+    rows = []
+    rhs = []
     for i in range(unknowns):
         c1, a1 = h_parts(i)
         c2, a2 = h_parts(n - i)
-        rows.append([x - y for x, y in zip(a1, a2)] + [c2 - c1])
-    for col in range(unknowns):
-        piv = next(r for r in range(col, unknowns) if rows[r][col] != 0)
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = rows[col][col]
-        rows[col] = [x / inv for x in rows[col]]
-        for r in range(unknowns):
-            if r != col and rows[r][col] != 0:
-                fac = rows[r][col]
-                rows[r] = [x - fac * y for x, y in zip(rows[r], rows[col])]
-    tail = [rows[r][unknowns] for r in range(unknowns)]
+        rows.append([x - y for x, y in zip(a1, a2)])
+        rhs.append(c2 - c1)
+    tail = lattice.solve_in_basis(list(zip(*rows)), rhs)
     return tuple(Fraction(x) for x in prefix) + tuple(tail)
 
 

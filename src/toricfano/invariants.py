@@ -10,9 +10,7 @@ minimum over all rational curves is attained on a wall.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
-from math import comb, gcd
+from math import comb
 from typing import Sequence
 
 from . import lattice
@@ -22,7 +20,7 @@ from .errors import (
     NotFano,
     UnpairedWall,
 )
-from .fan import Fan, faces
+from .fan import Fan, faces, wall_map
 from .primitive import PrimitiveRelation, all_relations, primitive_collections
 
 # ---------------------------------------------------------------------------
@@ -42,19 +40,16 @@ class WallCurve:
 
 
 def _wall_curves(fan: Fan) -> tuple[WallCurve, ...]:
-    pairing: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for c in fan.max_cones:
-        for facet in combinations(c, fan.dim - 1):
-            pairing.setdefault(facet, []).append(c)
+    walls = wall_map(fan)
     out = []
     m = len(fan.rays)
-    for wall in sorted(pairing):
-        cones = pairing[wall]
-        if len(cones) != 2:
+    for wall in sorted(walls):
+        sides = walls[wall]
+        if len(sides) != 2:
             raise UnpairedWall(
-                f"wall {wall} lies in {len(cones)} maximal cones")
-        u = next(i for i in cones[0] if i not in wall)
-        v = next(i for i in cones[1] if i not in wall)
+                f"wall {wall} lies in {len(sides)} maximal cones")
+        (cone_u, pos_u), (cone_v, pos_v) = sides
+        u, v = cone_u[pos_u], cone_v[pos_v]
         basis = [fan.rays[i] for i in wall] + [fan.rays[u]]
         sol = lattice.solve_in_basis(basis, fan.rays[v])
         if sol[-1] != -1:
@@ -102,50 +97,6 @@ def pseudo_index(fan: Fan) -> int:
 
 # ---------------------------------------------------------------------------
 # Mori cone generators by double description
-
-FracVector = tuple[Fraction, ...]
-
-
-def _solve_in_span(basis: Sequence[Sequence[int]],
-                   target: Sequence[int]) -> FracVector:
-    """Coordinates of target in the span of the basis rows, or raise."""
-    k = len(basis)
-    n = len(target)
-    aug = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        piv = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = aug[row][col]
-        aug[row] = [x / inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, n):
-        if aug[r][k] != 0:
-            raise InternalInconsistency("vector outside the expected span")
-    coords = [Fraction(0)] * k
-    for r, col in enumerate(pivots):
-        coords[col] = aug[r][k]
-    return tuple(coords)
-
-
-def _primitive_direction(v: Sequence[Fraction]) -> tuple[int, ...]:
-    """Scale a nonzero rational vector to a primitive integer vector, keeping
-    its direction."""
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    return lattice.make_primitive(ints)
-
 
 def _dual_extreme_rays(constraints: list[tuple[int, ...]],
                        dim: int) -> list[tuple[int, ...]]:
@@ -218,40 +169,41 @@ def _dual_extreme_rays(constraints: list[tuple[int, ...]],
     return [rays[i] for i in order]
 
 
-def _extremal_flags(vectors: list[FracVector]) -> list[bool]:
+def _extremal_flags(vectors: list[tuple[int, ...]],
+                    dim: int) -> list[bool]:
     """For each vector, whether it spans an extreme ray of the cone generated
-    by all of them."""
-    primitive = [_primitive_direction(v) for v in vectors]
-    unique = sorted(set(primitive))
-    # Coordinates inside the span keep the double description full-rank.
-    span_basis: list[tuple[int, ...]] = []
-    for v in unique:
-        if lattice.matrix_rank(lattice.IntegerMatrix.from_rows(
-                span_basis + [v])) > len(span_basis):
-            span_basis.append(v)
-    r = len(span_basis)
-    coords = [_primitive_direction(_solve_in_span(span_basis, v))
-              for v in unique]
-    facet_normals = _dual_extreme_rays(coords, r)
+    by all of them. The vectors must span Q^dim."""
+    facet_normals = _dual_extreme_rays(vectors, dim)
 
     def dot(a, b):
         return sum(x * y for x, y in zip(a, b))
 
-    extremal: dict[tuple[int, ...], bool] = {}
-    for v, c in zip(unique, coords):
-        tight = [f for f in facet_normals if dot(f, c) == 0]
-        extremal[v] = lattice.matrix_rank(
-            lattice.IntegerMatrix.from_rows(tight)) == r - 1
-    return [extremal[p] for p in primitive]
+    return [lattice.matrix_rank(lattice.IntegerMatrix.from_rows(
+        [f for f in facet_normals if dot(f, v) == 0])) == dim - 1
+        for v in vectors]
 
 
 def mori_cone_extremal_classes(fan: Fan) -> list[tuple[int, ...]]:
     """Primitive integer generators of the extreme rays of the cone spanned
-    by the wall classes, canonically ordered."""
+    by the wall classes, canonically ordered.
+
+    The classes are taken in coordinates of the saturated integer kernel
+    basis of the ray matrix, a basis of N_1 = Z^rho. Each class is primitive
+    (entry 1 at both opposite rays), so its coordinates are integral and
+    primitive; invariant curves generate N_1 of a complete toric variety,
+    so the coordinates span Q^rho and the double description runs in rank
+    rho directly.
+    """
     kernel = lattice.integer_kernel(fan.ray_matrix())
     classes = sorted({w.relation for w in wall_curves(fan)})
-    coords = [_solve_in_span(kernel, c) for c in classes]
-    flags = _extremal_flags(coords)
+    coords = []
+    for c in classes:
+        sol = lattice.solve_in_basis(kernel, c)
+        if any(x.denominator != 1 for x in sol):
+            raise NonIntegralCoefficient(
+                f"class {c} has kernel coordinates {sol}")
+        coords.append(tuple(int(x) for x in sol))
+    flags = _extremal_flags(coords, len(kernel))
     return [c for c, f in zip(classes, flags) if f]
 
 

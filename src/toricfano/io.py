@@ -242,8 +242,3 @@ def render_report(data, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(data, sort_keys=True, indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def emit_report(data, fmt: str) -> bytes:
-    """render_report encoded as UTF-8."""
-    return render_report(data, fmt).encode("utf-8")

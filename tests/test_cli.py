@@ -14,6 +14,7 @@ INCOMPLETE = "FAN 2 3 2\n1 0\n0 1\n-1 -1\n0 1\n1 2\n"
 HIRZEBRUCH = "FAN 2 4 4\n1 0\n0 1\n-1 2\n0 -1\n0 1\n1 2\n2 3\n0 3\n"
 NO_RAYS = "FAN 2 0 0\n"
 NO_CONES = "FAN 2 2 0\n1 0\n0 1\n"
+NOT_UTF8 = b"\xff\xfeFAN 2\n"
 # The origin is interior, but the cone on (1, 0) and (-1, -2) is singular.
 SINGULAR_TRIANGLE = "POLY 2 3\n1 0\n0 1\n-1 -2\n"
 
@@ -50,6 +51,17 @@ def test_validate_syntax_error_exit(tmp_path, capsys):
         path.write_text(text)
         assert main(["validate", str(path)]) == 2
         assert "line" in capsys.readouterr().err
+
+
+def test_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "binary.fan"
+    path.write_bytes(NOT_UTF8)
+    for command in ("validate", "invariants", "mukai"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 def test_invariants_json(plane_file, capsys):
@@ -132,9 +144,10 @@ def test_batch_records_corrupt_files_without_failing(tmp_path, capsys):
     (tmp_path / "corrupt.fan").write_text("FAN 2 3 3\n1 0\nbroken\n")
     (tmp_path / "no_rays.fan").write_text(NO_RAYS)
     (tmp_path / "no_cones.fan").write_text(NO_CONES)
+    (tmp_path / "not_utf8.fan").write_bytes(NOT_UTF8)
     assert main(["batch", str(tmp_path), "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["summary"]["parse_errors"] == 3
+    assert data["summary"]["parse_errors"] == 4
     assert data["summary"]["passed"] == 1
 
 

@@ -14,7 +14,6 @@ from toricfano.errors import (
 )
 from toricfano.fan import construct_product, construct_projective_space
 from toricfano.io import (
-    emit_report,
     parse_fan,
     parse_fan_unchecked,
     parse_polytope_as_face_fan,
@@ -131,11 +130,5 @@ def test_render_text_layout():
     data = {"name": "plane", "fano": True, "f_vector": [1, 3, 3]}
     assert render_report(data, "text") == \
         "f_vector: [1, 3, 3]\nfano: yes\nname: plane\n"
-
-
-def test_emit_report_bytes():
-    payload = emit_report({"a": 1}, "json")
-    assert isinstance(payload, bytes)
-    assert json.loads(payload.decode("utf-8")) == {"a": 1}
     with pytest.raises(ValueError):
         render_report({}, "yaml")

@@ -96,6 +96,16 @@ def test_solve_in_basis():
         solve_in_basis([(1, 0), (2, 0)], (0, 1))
     with pytest.raises(SingularBasis):
         solve_in_basis([(1, 0)], (0, 1))
+    # Fewer vectors than coordinates: exact coordinates inside the span,
+    # SingularBasis outside it.
+    plane = [(2, 0, 1, 3), (0, 2, 1, -1)]
+    assert solve_in_basis(plane, (1, 1, 1, 1)) == \
+        (Fraction(1, 2), Fraction(1, 2))
+    assert solve_in_basis(plane, (4, -2, 1, 7)) == (Fraction(2), Fraction(-1))
+    with pytest.raises(SingularBasis):
+        solve_in_basis(plane, (1, 1, 1, 2))
+    with pytest.raises(SingularBasis):
+        solve_in_basis([(1, 2, 3), (2, 4, 6)], (1, 2, 3))
 
 
 def test_quotient_projection_basics():

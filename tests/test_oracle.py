@@ -15,7 +15,7 @@ from toricfano.fan import (
     star_subdivision,
 )
 from toricfano.fvector import f_vector
-from toricfano.invariants import mori_cone_extremal_classes
+from toricfano.invariants import mori_cone_extremal_classes, wall_curves
 from toricfano.oracle import (
     _nonneg_combination_exists,
     corpus_directory,
@@ -94,6 +94,9 @@ def test_oracle_agrees_under_relabelling_and_gl_n_z(corpus_fans, transformed,
     fan = transformed(_drawn_fan(corpus_fans, data), data)
     assert primitive_collections(fan) == oracle_primitive_collections(fan)
     assert f_vector(fan) == oracle_f_vector(fan)
+    if len(fan.rays) - fan.dim <= 6 and len(wall_curves(fan)) <= 200:
+        assert sorted(mori_cone_extremal_classes(fan)) == \
+            sorted(oracle_mori_extremals(fan))
 
 
 def test_nonneg_combination_solver():
