@@ -21,7 +21,7 @@ from .errors import (
     RegimeUnsupported,
     ValidationError,
 )
-from .fan import Fan, validate
+from .fan import Fan, require_valid, validate
 from .fvector import corollary_bound_table, f_vector, max_rho_bound
 from .invariants import is_fano, mukai_check, pseudo_index, wall_curves
 from .io import parse_fan_unchecked, parse_polytope_unchecked, render_report
@@ -55,14 +55,6 @@ def _load_unchecked(path: str) -> Fan:
     if Path(path).suffix == ".poly":
         return parse_polytope_unchecked(text)
     return parse_fan_unchecked(text)
-
-
-def _load_checked(path: str) -> Fan:
-    fan = _load_unchecked(path)
-    report = validate(fan)
-    if not report.ok:
-        raise ValidationError(report)
-    return fan
 
 
 def _report_payload(report) -> dict:
@@ -124,7 +116,7 @@ def cmd_validate(args) -> int:
 
 def cmd_invariants(args) -> int:
     try:
-        fan = _load_checked(args.path)
+        fan = require_valid(_load_unchecked(args.path))
     except (ValidationError, *_PARSE_ERRORS) as err:
         return _fail(str(err))
     _emit({"path": args.path, **_invariants_payload(fan)}, args.format)
@@ -133,7 +125,7 @@ def cmd_invariants(args) -> int:
 
 def cmd_mukai(args) -> int:
     try:
-        fan = _load_checked(args.path)
+        fan = require_valid(_load_unchecked(args.path))
     except (ValidationError, *_PARSE_ERRORS) as err:
         return _fail(str(err))
     if not is_fano(fan):
@@ -214,7 +206,10 @@ def cmd_batch(args) -> int:
     rendered = render_report(data, _normal_format(args.format))
     sys.stdout.write(rendered)
     if args.report:
-        Path(args.report).write_text(rendered, encoding="utf-8")
+        try:
+            Path(args.report).write_text(rendered, encoding="utf-8")
+        except OSError as err:
+            return _fail(str(err))
     return EXIT_CHECK_FAILED if summary["check_failures"] else EXIT_OK
 
 

@@ -20,8 +20,9 @@ from .errors import (
     ConeTooSmall,
     DimensionOutOfRange,
     NotACone,
+    ValidationError,
 )
-from .lattice import IntegerMatrix, IntVector
+from .lattice import IntVector
 
 ConeRef = tuple[int, ...]
 T = TypeVar("T")
@@ -34,11 +35,6 @@ class Fan:
     dim: int
     rays: tuple[IntVector, ...]
     max_cones: tuple[ConeRef, ...]
-
-    def ray_matrix(self) -> IntegerMatrix:
-        """The dim x len(rays) matrix whose columns are the rays."""
-        return IntegerMatrix.from_rows(
-            [[r[i] for r in self.rays] for i in range(self.dim)])
 
     def cached(self, compute: Callable[["Fan"], T]) -> T:
         """compute(self), computed on the first call with this compute
@@ -225,9 +221,8 @@ def validate(fan: Fan) -> ValidationReport:
     Deterministic; returns a structured report, and mathematically invalid
     fans never raise.
     """
-    dets = [lattice.determinant(
-        IntegerMatrix.from_rows([fan.rays[i] for i in c]))
-        for c in fan.max_cones]
+    dets = [lattice.determinant([fan.rays[i] for i in c])
+            for c in fan.max_cones]
     checks = [
         _check_primitivity(fan),
         _check_distinctness(fan),
@@ -241,6 +236,15 @@ def validate(fan: Fan) -> ValidationReport:
         checks.append(CheckResult("covering_degree", False,
                                   "not attempted: earlier checks failed"))
     return ValidationReport(tuple(checks))
+
+
+def require_valid(fan: Fan) -> Fan:
+    """The fan itself when validate passes; raises ValidationError naming
+    the failed checks otherwise."""
+    report = validate(fan)
+    if not report.ok:
+        raise ValidationError(report)
+    return fan
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +375,8 @@ def invariant_subvariety_fan(fan: Fan, sigma: Sequence[int]) -> QuotientFan:
         if u in sigma_set:
             continue
         if is_cone(fan, sigma + (u,)):
-            image = q.mul_vector(fan.rays[u])
+            image = [sum(a * b for a, b in zip(row, fan.rays[u]))
+                     for row in q]
             # Projections of smooth-cone rays are already primitive; the
             # normalization is defensive.
             projected[u] = lattice.make_primitive(image)

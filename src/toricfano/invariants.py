@@ -152,9 +152,8 @@ def _dual_extreme_rays(constraints: list[tuple[int, ...]],
             common = tight[i] & tight[j]
             # Algebraic adjacency: the shared tight constraints must cut the
             # pointed part down to a 2-face.
-            common_rows = [constraints[c] for c in common]
-            if lattice.matrix_rank(lattice.IntegerMatrix.from_rows(
-                    common_rows)) != free_dim - 2:
+            if lattice.matrix_rank(
+                    [constraints[c] for c in common]) != free_dim - 2:
                 continue
             new = tuple(values[i] * y - values[j] * x
                         for x, y in zip(rays[i], rays[j]))
@@ -178,8 +177,8 @@ def _extremal_flags(vectors: list[tuple[int, ...]],
     def dot(a, b):
         return sum(x * y for x, y in zip(a, b))
 
-    return [lattice.matrix_rank(lattice.IntegerMatrix.from_rows(
-        [f for f in facet_normals if dot(f, v) == 0])) == dim - 1
+    return [lattice.matrix_rank(
+        [f for f in facet_normals if dot(f, v) == 0]) == dim - 1
         for v in vectors]
 
 
@@ -194,7 +193,7 @@ def mori_cone_extremal_classes(fan: Fan) -> list[tuple[int, ...]]:
     so the coordinates span Q^rho and the double description runs in rank
     rho directly.
     """
-    kernel = lattice.integer_kernel(fan.ray_matrix())
+    kernel = lattice.integer_kernel(list(zip(*fan.rays)))
     classes = sorted({w.relation for w in wall_curves(fan)})
     coords = []
     for c in classes:

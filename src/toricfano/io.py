@@ -18,9 +18,8 @@ from .errors import (
     FanSyntaxError,
     NonSimplicialFacet,
     OriginNotInterior,
-    ValidationError,
 )
-from .fan import Fan, make_fan, validate
+from .fan import Fan, make_fan, require_valid
 
 
 def _significant_lines(text: str) -> list[tuple[int, list[str]]]:
@@ -102,11 +101,7 @@ def parse_fan_unchecked(text: str) -> Fan:
 
 def parse_fan(text: str) -> Fan:
     """Parse and validate; raises ValidationError naming any failed check."""
-    fan = parse_fan_unchecked(text)
-    report = validate(fan)
-    if not report.ok:
-        raise ValidationError(report)
-    return fan
+    return require_valid(parse_fan_unchecked(text))
 
 
 def serialize_fan(fan: Fan) -> str:
@@ -124,8 +119,7 @@ def _facet_scan(vertices: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, 
     m = len(vertices)
     origin = vertices[0]
     spread = [tuple(v[j] - origin[j] for j in range(n)) for v in vertices[1:]]
-    if n > 1 and lattice.matrix_rank(
-            lattice.IntegerMatrix.from_rows(spread)) < n:
+    if n > 1 and lattice.matrix_rank(spread) < n:
         raise OriginNotInterior(
             "the vertices lie in a proper affine subspace")
     facets: set[tuple[int, ...]] = set()
@@ -134,7 +128,7 @@ def _facet_scan(vertices: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, 
         diffs = [tuple(vertices[i][j] - base[j] for j in range(n))
                  for i in subset[1:]]
         if n > 1:
-            kernel = lattice.integer_kernel(lattice.IntegerMatrix.from_rows(diffs))
+            kernel = lattice.integer_kernel(diffs)
         else:
             kernel = ((1,),)
         if len(kernel) != 1:
@@ -182,11 +176,7 @@ def parse_polytope_as_face_fan(text: str) -> Fan:
     """Parse the `.poly` grammar and return the validated face fan of the
     convex hull of the vertices; raises ValidationError naming any failed
     check."""
-    fan = parse_polytope_unchecked(text)
-    report = validate(fan)
-    if not report.ok:
-        raise ValidationError(report)
-    return fan
+    return require_valid(parse_polytope_unchecked(text))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,11 @@
 
 Everything runs over arbitrary-precision integers and fractions; no floating
 point is used anywhere. Vectors are plain tuples of ints (or Fractions for
-rational results), matrices are immutable row-major IntegerMatrix values.
+rational results), matrices are sequences of integer rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -16,51 +15,6 @@ from .errors import DependentSpan, NotSquare, SingularBasis
 
 IntVector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """An immutable integer matrix stored row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count must equal rows * cols")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        for r in rows:
-            if len(r) != ncols:
-                raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(int(x) for r in rows for x in r))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple(1 if i == j else 0
-                               for i in range(n) for j in range(n)))
-
-    def row(self, i: int) -> IntVector:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def row_list(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(
-            self.cols, self.rows,
-            tuple(self.entries[i * self.cols + j]
-                  for j in range(self.cols) for i in range(self.rows)))
-
-    def mul_vector(self, v: Sequence[int]) -> IntVector:
-        if len(v) != self.cols:
-            raise ValueError("vector length must equal cols")
-        return tuple(sum(self.row(i)[j] * v[j] for j in range(self.cols))
-                     for i in range(self.rows))
 
 
 def vector_sum(vectors: Sequence[Sequence[int]], dim: int) -> IntVector:
@@ -125,14 +79,14 @@ def solve_in_basis(basis: Sequence[Sequence[int]],
     return tuple(aug[r][k] for r in range(k))
 
 
-def determinant(m: IntegerMatrix) -> int:
+def determinant(rows: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise NotSquare(f"matrix is {m.rows}x{m.cols}")
-    n = m.rows
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise NotSquare(f"matrix with {n} rows is not square")
     if n == 0:
         return 1
-    a = m.row_list()
+    a = [list(r) for r in rows]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -151,8 +105,9 @@ def determinant(m: IntegerMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _row_hermite(rows: list[list[int]]) -> tuple[list[list[int]],
-                                                 list[list[int]], int]:
+def _row_hermite(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]],
+                                                         list[list[int]],
+                                                         int]:
     """Row Hermite form of an integer matrix.
 
     Returns (H, U, rank) with U unimodular, U * A = H, pivots positive and
@@ -193,28 +148,28 @@ def _row_hermite(rows: list[list[int]]) -> tuple[list[list[int]],
     return a, u, rank
 
 
-def hermite_normal_form(m: IntegerMatrix) -> IntegerMatrix:
+def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Row Hermite normal form with positive pivots."""
-    h, _, _ = _row_hermite(m.row_list())
-    return IntegerMatrix.from_rows(h)
+    h, _, _ = _row_hermite(rows)
+    return h
 
 
-def matrix_rank(m: IntegerMatrix) -> int:
-    _, _, rank = _row_hermite(m.row_list())
+def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
+    _, _, rank = _row_hermite(rows)
     return rank
 
 
-def integer_kernel(m: IntegerMatrix) -> list[IntVector]:
-    """A canonical lattice basis of { v in Z^cols : m * v = 0 }.
+def integer_kernel(rows: Sequence[Sequence[int]]) -> list[IntVector]:
+    """A canonical lattice basis of { v in Z^cols : rows * v = 0 }.
 
     The returned vectors span the full (saturated) kernel lattice; the basis
     is put in Hermite form so the output is deterministic.
     """
     # Row-reduce the transpose while tracking the transform: zero rows of H
-    # correspond to transform rows annihilating every column of m.
-    h, u, rank = _row_hermite(m.transpose().row_list())
+    # correspond to transform rows annihilating every row of the matrix.
+    h, u, rank = _row_hermite(list(zip(*rows)))
     basis = [u[i] for i in range(len(h)) if all(x == 0 for x in h[i])]
-    assert len(basis) == m.cols - rank
+    assert len(basis) == len(h) - rank
     if not basis:
         return []
     canon, _, _ = _row_hermite(basis)
@@ -222,17 +177,18 @@ def integer_kernel(m: IntegerMatrix) -> list[IntVector]:
 
 
 def quotient_lattice_projection(span: Sequence[Sequence[int]],
-                                dim: int | None = None) -> IntegerMatrix:
+                                dim: int | None = None) -> list[list[int]]:
     """A surjection q: Z^n -> Z^(n-k) whose kernel is exactly the span lattice.
 
     The span must consist of k independent primitive vectors generating a
     saturated sublattice (always true for the rays of a smooth cone). With an
-    empty span the identity map on Z^dim is returned.
+    empty span the identity map on Z^dim is returned. The map is given by
+    its rows, so q(v) is the vector of dot products of the rows with v.
     """
     if not span:
         if dim is None:
             raise ValueError("dim is required for an empty span")
-        return IntegerMatrix.identity(dim)
+        return [[int(i == j) for j in range(dim)] for i in range(dim)]
     n = len(span[0])
     if dim is not None and dim != n:
         raise ValueError("dim disagrees with vector length")
@@ -252,9 +208,6 @@ def quotient_lattice_projection(span: Sequence[Sequence[int]],
         pivot_product *= next(x for x in h[i] if x != 0)
     if pivot_product != 1:
         raise DependentSpan("span does not generate a saturated sublattice")
-    q = [u[i] for i in range(k, n)]
-    if not q:
-        # Full span: the quotient is the zero lattice.
-        return IntegerMatrix(0, n, ())
-    canon, _, _ = _row_hermite(q)
-    return IntegerMatrix.from_rows(canon)
+    # A full span has the zero lattice as quotient: no rows.
+    canon, _, _ = _row_hermite(u[k:])
+    return canon

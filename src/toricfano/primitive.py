@@ -127,7 +127,8 @@ def primitive_relation(fan: Fan, collection: Sequence[int]) -> PrimitiveRelation
         vec[i] = -a
     relation = PrimitiveRelation(collection, targets, coeffs, order, degree,
                                  tuple(vec))
-    if fan.ray_matrix().mul_vector(relation.class_vector) != (0,) * fan.dim:
+    if any(sum(a * r[j] for a, r in zip(relation.class_vector, fan.rays))
+           for j in range(fan.dim)):
         raise InternalInconsistency(
             f"relation of {collection} is not in the kernel")
     return relation

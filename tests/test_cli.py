@@ -172,6 +172,16 @@ def test_batch_report_file(tmp_path, capsys):
     assert report.read_text() == stdout
 
 
+def test_batch_report_to_unwritable_path(tmp_path, capsys):
+    (tmp_path / "plane.fan").write_text(PLANE)
+    report = tmp_path / "missing" / "r.txt"
+    assert main(["batch", str(tmp_path), "--report", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not report.parent.exists()
+
+
 def test_batch_empty_directory(tmp_path, capsys):
     assert main(["batch", str(tmp_path), "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricfano.errors import (
     FanSyntaxError,
@@ -13,6 +15,8 @@ from toricfano.errors import (
     ValidationError,
 )
 from toricfano.fan import construct_product, construct_projective_space
+from toricfano.fvector import f_vector
+from toricfano.invariants import mukai_check
 from toricfano.io import (
     parse_fan,
     parse_fan_unchecked,
@@ -20,6 +24,7 @@ from toricfano.io import (
     render_report,
     serialize_fan,
 )
+from toricfano.oracle import corpus_directory
 
 PLANE = """\
 # the plane
@@ -112,6 +117,22 @@ def test_polytope_rejects_non_simplicial_facets():
         for z in (1, -1)) + "\n"
     with pytest.raises(NonSimplicialFacet):
         parse_polytope_as_face_fan(cube)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_face_fan_under_relabelling_and_gl_n_z(transformed, data):
+    name = data.draw(st.sampled_from(
+        ("poly_square", "poly_hexagon", "poly_octahedron")))
+    text = (corpus_directory() / f"{name}.poly").read_text(encoding="utf-8")
+    fan = parse_polytope_as_face_fan(text)
+    # The rays of a face fan are the vertices, so moving the fan moves them.
+    vertices = data.draw(st.permutations(transformed(fan, data).rays))
+    moved = parse_polytope_as_face_fan(
+        f"POLY {fan.dim} {len(vertices)}\n"
+        + "".join(" ".join(map(str, v)) + "\n" for v in vertices))
+    assert f_vector(moved) == f_vector(fan)
+    assert mukai_check(moved).equality_case == mukai_check(fan).equality_case
 
 
 def test_render_report_is_deterministic():

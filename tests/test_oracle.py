@@ -17,6 +17,7 @@ from toricfano.fan import (
 from toricfano.fvector import f_vector
 from toricfano.invariants import mori_cone_extremal_classes, wall_curves
 from toricfano.oracle import (
+    _fingerprint,
     _nonneg_combination_exists,
     corpus_directory,
     generate_corpus,
@@ -91,12 +92,14 @@ def _drawn_fan(corpus_fans, data):
 @given(data=st.data())
 def test_oracle_agrees_under_relabelling_and_gl_n_z(corpus_fans, transformed,
                                                     data):
-    fan = transformed(_drawn_fan(corpus_fans, data), data)
+    drawn = _drawn_fan(corpus_fans, data)
+    fan = transformed(drawn, data)
     assert primitive_collections(fan) == oracle_primitive_collections(fan)
     assert f_vector(fan) == oracle_f_vector(fan)
     if len(fan.rays) - fan.dim <= 6 and len(wall_curves(fan)) <= 200:
         assert sorted(mori_cone_extremal_classes(fan)) == \
             sorted(oracle_mori_extremals(fan))
+    assert _fingerprint(fan) == _fingerprint(drawn)
 
 
 def test_nonneg_combination_solver():
