@@ -204,12 +204,13 @@ def cmd_batch(args) -> int:
     }
     data = {"entries": entries, "summary": summary}
     rendered = render_report(data, _normal_format(args.format))
-    sys.stdout.write(rendered)
+    # Write the file first, so a run that fails on it prints no report.
     if args.report:
         try:
             Path(args.report).write_text(rendered, encoding="utf-8")
         except OSError as err:
             return _fail(str(err))
+    sys.stdout.write(rendered)
     return EXIT_CHECK_FAILED if summary["check_failures"] else EXIT_OK
 
 

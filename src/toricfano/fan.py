@@ -283,11 +283,10 @@ def faces(fan: Fan, j: int) -> list[ConeRef]:
 
 
 def is_cone(fan: Fan, ref: Sequence[int]) -> bool:
-    """True iff the index set is a face of some maximal cone."""
-    s = set(ref)
-    if len(s) != len(ref):
-        return False
-    return any(s.issubset(c) for c in fan.max_cones)
+    """True iff the index set is a face of some maximal cone: a lookup in
+    the face table, so a repeated or out-of-range index gives False."""
+    return len(ref) <= fan.dim and \
+        tuple(sorted(ref)) in face_table(fan)[len(ref)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,14 @@
 """Line-oriented text formats for fans and polytope vertex lists, the
 face-fan construction, and deterministic report rendering.
 
+The face fan of a `.poly` polytope has one cone per facet. The facets are
+found by gift wrapping: one facet from the hyperplane x_1 = max x_1, then
+across each ridge to the facet on its other side, with one integer kernel
+per ridge. A facet with more than n vertices raises NonSimplicialFacet, and
+one that does not keep the origin strictly inside raises
+OriginNotInterior; on a polytope with both faults, the facet the walk
+reaches first decides which.
+
 The `.fan` grammar: a header line `FAN <n> <m> <c>`, then m ray lines of n
 integers each, then c cone lines of n ray indices each. The `.poly` grammar:
 `POLY <n> <m>` followed by m vertex lines. Blank lines and `#` comments are
@@ -10,7 +18,6 @@ ignored everywhere; negative numbers use the ASCII hyphen-minus.
 from __future__ import annotations
 
 import json
-from itertools import combinations
 from typing import Sequence
 
 from . import lattice
@@ -112,49 +119,114 @@ def serialize_fan(fan: Fan) -> str:
     return "\n".join(out) + "\n"
 
 
-def _facet_scan(vertices: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """Facet vertex-index sets of conv(vertices) by exhaustive n-subset
-    hyperplane search; raises when a facet is non-simplicial or fails to
-    keep the origin strictly inside."""
-    m = len(vertices)
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _checked_facet(vertices: Sequence[tuple[int, ...]], normal: Sequence[int],
+                   offset: int, n: int) -> tuple[int, ...]:
+    """Indices of the vertices on the facet hyperplane normal . x = offset;
+    raises when the facet is non-simplicial or fails to keep the origin
+    strictly inside."""
+    on_plane = tuple(i for i, v in enumerate(vertices)
+                     if _dot(normal, v) == offset)
+    if len(on_plane) > n:
+        raise NonSimplicialFacet(
+            f"facet through vertices {on_plane} has {len(on_plane)} "
+            f"vertices in dimension {n}")
+    if offset <= 0:
+        raise OriginNotInterior(
+            f"facet through vertices {on_plane} does not separate the "
+            "origin strictly from the outside")
+    return on_plane
+
+
+def _tilt(vertices: Sequence[tuple[int, ...]], normal: Sequence[int],
+          offset: int, c: Sequence[int],
+          base: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """Turn the supporting hyperplane normal . x = offset about its meet
+    with c . x = c . base, away from c, until it hits a vertex; returns
+    the new outward normal and offset.
+
+    The hyperplanes through that meet have normals -e * normal - s * c.
+    With s_p = offset - normal . p > 0 and e_p = c . (p - base), the one
+    through vertex p keeps vertex q inside iff e_p / s_p <= e_q / s_q, so
+    the vertex with the least e_p / s_p gives the next supporting
+    hyperplane (compared by cross-multiplication, all in integers).
+    """
+    c_base = _dot(c, base)
+    best_e, best_s = 0, 0
+    for v in vertices:
+        s = offset - _dot(normal, v)
+        if s > 0:
+            e = _dot(c, v) - c_base
+            if not best_s or e * best_s < best_e * s:
+                best_e, best_s = e, s
+    tilted = lattice.make_primitive([-best_e * x - best_s * y
+                                     for x, y in zip(normal, c)])
+    return tilted, _dot(tilted, base)
+
+
+def _facet_walk(vertices: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """Facet vertex-index sets of conv(vertices) by gift wrapping: find one
+    facet, then cross each of its ridges to the facet on the other side
+    (Chand & Kapur 1970). A simplicial polytope has exactly two facets on
+    each ridge, so the cost is about ridges * vertices. Raises when a
+    facet is non-simplicial or fails to keep the origin strictly inside.
+    """
+    values = [v[0] for v in vertices]
+    if n == 1:
+        # The facets of a segment are its end points.
+        return sorted({_checked_facet(vertices, (1,), max(values), n),
+                       _checked_facet(vertices, (-1,), -min(values), n)})
     origin = vertices[0]
     spread = [tuple(v[j] - origin[j] for j in range(n)) for v in vertices[1:]]
-    if n > 1 and lattice.matrix_rank(spread) < n:
+    if lattice.matrix_rank(spread) < n:
         raise OriginNotInterior(
             "the vertices lie in a proper affine subspace")
-    facets: set[tuple[int, ...]] = set()
-    for subset in combinations(range(m), n):
-        base = vertices[subset[0]]
-        diffs = [tuple(vertices[i][j] - base[j] for j in range(n))
-                 for i in subset[1:]]
-        if n > 1:
-            kernel = lattice.integer_kernel(diffs)
-        else:
-            kernel = ((1,),)
-        if len(kernel) != 1:
-            continue
-        normal = kernel[0]
-        offset = sum(a * b for a, b in zip(normal, base))
-        values = [sum(a * b for a, b in zip(normal, v)) for v in vertices]
-        above = any(v > offset for v in values)
-        below = any(v < offset for v in values)
-        if above and below:
-            continue
-        if above:
-            normal = tuple(-x for x in normal)
-            offset = -offset
-            values = [-v for v in values]
-        on_plane = tuple(i for i in range(m) if values[i] == offset)
-        if len(on_plane) > n:
-            raise NonSimplicialFacet(
-                f"facet through vertices {on_plane} has {len(on_plane)} "
-                f"vertices in dimension {n}")
-        if offset <= 0:
-            raise OriginNotInterior(
-                f"facet through vertices {on_plane} does not separate the "
-                "origin strictly from the outside")
-        facets.add(on_plane)
-    return sorted(facets)
+
+    def through(indices: Sequence[int], normal: Sequence[int]) -> list:
+        """Difference rows of the given vertices, plus the normal. Their
+        integer kernel holds the directions orthogonal to both, about which
+        the hyperplane can turn and keep those vertices on it."""
+        base = vertices[indices[0]]
+        return [tuple(vertices[i][j] - base[j] for j in range(n))
+                for i in indices[1:]] + [tuple(normal)]
+
+    # First facet: tilt the supporting hyperplane x_1 = max x_1 about the
+    # affine hull of its vertices until that hull has dimension n - 1.
+    normal: tuple[int, ...] = (1,) + (0,) * (n - 1)
+    offset = max(values)
+    while True:
+        on_plane = tuple(i for i, v in enumerate(vertices)
+                         if _dot(normal, v) == offset)
+        kernel = lattice.integer_kernel(through(on_plane, normal))
+        if not kernel:
+            break
+        normal, offset = _tilt(vertices, normal, offset, kernel[0],
+                               vertices[on_plane[0]])
+    first = _checked_facet(vertices, normal, offset, n)
+    planes = {first: (normal, offset)}
+    queue = [first]
+    done: set[tuple[int, ...]] = set()
+    while queue:
+        facet = queue.pop()
+        normal, offset = planes[facet]
+        for w in facet:
+            ridge = tuple(i for i in facet if i != w)
+            if ridge in done:
+                continue
+            done.add(ridge)
+            (c,) = lattice.integer_kernel(through(ridge, normal))
+            base = vertices[ridge[0]]
+            if _dot(c, vertices[w]) < _dot(c, base):
+                c = tuple(-x for x in c)
+            tilted, tilted_offset = _tilt(vertices, normal, offset, c, base)
+            neighbour = _checked_facet(vertices, tilted, tilted_offset, n)
+            if neighbour not in planes:
+                planes[neighbour] = (tilted, tilted_offset)
+                queue.append(neighbour)
+    return sorted(planes)
 
 
 def parse_polytope_unchecked(text: str) -> Fan:
@@ -169,7 +241,7 @@ def parse_polytope_unchecked(text: str) -> Fan:
     if m < n + 1:
         raise OriginNotInterior(
             f"{m} vertices cannot enclose the origin in dimension {n}")
-    return make_fan(n, vertices, _facet_scan(vertices, n))
+    return make_fan(n, vertices, _facet_walk(vertices, n))
 
 
 def parse_polytope_as_face_fan(text: str) -> Fan:

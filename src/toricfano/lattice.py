@@ -148,12 +148,6 @@ def _row_hermite(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]],
     return a, u, rank
 
 
-def hermite_normal_form(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Row Hermite normal form with positive pivots."""
-    h, _, _ = _row_hermite(rows)
-    return h
-
-
 def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
     _, _, rank = _row_hermite(rows)
     return rank

@@ -2,8 +2,9 @@
 
 The oracles here deliberately share no code with the fast paths they check:
 collections come from full subset enumeration over bitmasks, extremality
-from a rational feasibility solve, and face counts from direct subset
-scanning. They are slow and simple on purpose.
+from a rational feasibility solve, face counts from direct subset
+scanning, and polytope facets from trying every n-subset of the vertices
+as a hyperplane. They are slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -11,10 +12,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import comb, gcd, lcm
 from pathlib import Path
 from typing import Sequence
 
-from .errors import TooLarge
+from .errors import NonSimplicialFacet, OriginNotInterior, TooLarge
 from .fan import (
     Fan,
     construct_product,
@@ -37,6 +40,8 @@ from .primitive import degrees_summary, primitive_collections
 _MAX_ORACLE_RAYS = 16
 _MAX_ORACLE_RHO = 6
 _MAX_ORACLE_WALLS = 200
+# As many subsets as the 2^16 that the ray-subset oracles may scan.
+_MAX_ORACLE_SUBSETS = 1 << 16
 
 
 def oracle_primitive_collections(fan: Fan) -> list[tuple[int, ...]]:
@@ -152,6 +157,80 @@ def oracle_f_vector(fan: Fan) -> FVector:
                 any(members <= c for c in cone_sets):
             counts[len(members)] += 1
     return FVector(fan.dim, tuple(counts))
+
+
+def _hyperplane_normal(points: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
+    """A primitive integer normal of the hyperplane through n points of
+    Z^n, or None when the points are affinely dependent, by integer
+    Gauss-Jordan elimination of their difference rows."""
+    n = len(points[0])
+    rows = [[p[j] - points[0][j] for j in range(n)] for p in points[1:]]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f, g = rows[i][col], rows[r][col]
+                rows[i] = [g * x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    if len(pivots) < n - 1:
+        return None
+    # Each row now has nonzero entries only in its pivot column and the
+    # one free column; the normal is 1 on the free column, scaled to
+    # clear the pivots.
+    (free,) = set(range(n)) - set(pivots)
+    scale = lcm(*(rows[i][col] for i, col in enumerate(pivots)))
+    normal = [0] * n
+    normal[free] = scale
+    for i, col in enumerate(pivots):
+        normal[col] = -rows[i][free] * scale // rows[i][col]
+    g = 0
+    for x in normal:
+        g = gcd(g, x)
+    return tuple(x // g for x in normal)
+
+
+def oracle_facets(vertices: Sequence[Sequence[int]],
+                  n: int) -> list[tuple[int, ...]]:
+    """Facet vertex-index sets of the convex hull of the vertices by trying
+    every n-subset as a hyperplane and keeping those with every vertex on
+    one side. Raises OriginNotInterior when the vertices lie in one
+    hyperplane or a facet fails to keep the origin strictly inside, and
+    NonSimplicialFacet when a facet holds more than n vertices."""
+    m = len(vertices)
+    if comb(m, n) > _MAX_ORACLE_SUBSETS:
+        raise TooLarge(f"C({m}, {n}) vertex subsets exceeds the oracle "
+                       f"limit {_MAX_ORACLE_SUBSETS}")
+    facets = set()
+    for subset in combinations(range(m), n):
+        normal = _hyperplane_normal([vertices[i] for i in subset])
+        if normal is None:
+            continue
+        values = [sum(a * b for a, b in zip(normal, v)) for v in vertices]
+        offset = values[subset[0]]
+        if max(values) > offset:
+            if min(values) < offset:
+                continue
+            offset = -offset
+            values = [-v for v in values]
+        on_plane = tuple(i for i in range(m) if values[i] == offset)
+        if len(on_plane) == m:
+            raise OriginNotInterior("the vertices lie in one hyperplane")
+        if len(on_plane) > n:
+            raise NonSimplicialFacet(f"facet {on_plane} has {len(on_plane)} "
+                                     f"vertices in dimension {n}")
+        if offset <= 0:
+            raise OriginNotInterior(f"facet {on_plane} does not keep the "
+                                    "origin strictly inside")
+        facets.add(on_plane)
+    if not facets:
+        raise OriginNotInterior("the vertices lie in a proper affine "
+                                "subspace")
+    return sorted(facets)
 
 
 # ---------------------------------------------------------------------------

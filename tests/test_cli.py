@@ -176,7 +176,8 @@ def test_batch_report_to_unwritable_path(tmp_path, capsys):
     (tmp_path / "plane.fan").write_text(PLANE)
     report = tmp_path / "missing" / "r.txt"
     assert main(["batch", str(tmp_path), "--report", str(report)]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not report.parent.exists()

@@ -168,6 +168,10 @@ def test_is_cone():
     assert is_cone(p2, (0,))
     assert is_cone(p2, (0, 1))
     assert not is_cone(p2, (0, 1, 2))
+    assert is_cone(p2, (1, 0))
+    assert not is_cone(p2, (0, 0))
+    assert not is_cone(p2, (0, 3))
+    assert not is_cone(p2, (0, 1, 2, 0))
 
 
 def test_star_subdivision_of_plane_cone():

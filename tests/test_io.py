@@ -8,23 +8,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricfano.cli import main
 from toricfano.errors import (
     FanSyntaxError,
     NonSimplicialFacet,
     OriginNotInterior,
     ValidationError,
 )
-from toricfano.fan import construct_product, construct_projective_space
+from toricfano.fan import (
+    construct_product,
+    construct_projective_space,
+    make_fan,
+    validate,
+)
 from toricfano.fvector import f_vector
 from toricfano.invariants import mukai_check
 from toricfano.io import (
+    _facet_walk,
     parse_fan,
     parse_fan_unchecked,
     parse_polytope_as_face_fan,
+    parse_polytope_unchecked,
     render_report,
     serialize_fan,
 )
-from toricfano.oracle import corpus_directory
+from toricfano.oracle import corpus_directory, oracle_facets
 
 PLANE = """\
 # the plane
@@ -117,6 +125,115 @@ def test_polytope_rejects_non_simplicial_facets():
         for z in (1, -1)) + "\n"
     with pytest.raises(NonSimplicialFacet):
         parse_polytope_as_face_fan(cube)
+
+
+def _poly_text(vertices) -> str:
+    return f"POLY {len(vertices[0])} {len(vertices)}\n" + \
+        "".join(" ".join(map(str, v)) + "\n" for v in vertices)
+
+
+def _vertices(text: str) -> list[tuple[int, ...]]:
+    return [tuple(map(int, line.split())) for line in text.splitlines()[1:]]
+
+
+def _product(fans):
+    out = fans[0]
+    for fan in fans[1:]:
+        out = construct_product(out, fan)
+    return out
+
+
+P1 = construct_projective_space(1)
+# The face fan of the hexagon; the rays of a product of copies are the
+# vertices of the free sum of hexagons.
+HEXAGON = make_fan(2, [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+                   [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+BAD_POLYTOPE = (NonSimplicialFacet, OriginNotInterior)
+
+
+def _facets_or_error(find, vertices, n):
+    try:
+        return find(vertices, n)
+    except BAD_POLYTOPE as err:
+        return type(err)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_facet_walk_matches_oracle(transformed, data):
+    kind = data.draw(st.sampled_from(("points", "cross", "hexagons")))
+    if kind == "points":
+        n = data.draw(st.integers(2, 4))
+        m = data.draw(st.integers(n + 1, n + 7))
+        vertices = data.draw(st.lists(
+            st.tuples(*[st.integers(-3, 3)] * n), min_size=m, max_size=m))
+    else:
+        fan = _product([P1] * data.draw(st.integers(2, 6))
+                       if kind == "cross"
+                       else [HEXAGON] * data.draw(st.integers(1, 2)))
+        n = fan.dim
+        vertices = data.draw(st.permutations(transformed(fan, data).rays))
+    expected = _facets_or_error(oracle_facets, vertices, n)
+    got = _facets_or_error(_facet_walk, vertices, n)
+    if isinstance(expected, list):
+        assert got == expected
+    else:
+        # On a polytope with both faults either error may come first.
+        assert kind == "points" and got in BAD_POLYTOPE
+
+
+def test_facet_walk_matches_oracle_on_corpus_polytopes():
+    for path in sorted(corpus_directory().glob("*.poly")):
+        vertices = _vertices(path.read_text(encoding="utf-8"))
+        n = len(vertices[0])
+        assert _facet_walk(vertices, n) == oracle_facets(vertices, n)
+
+
+@pytest.mark.parametrize("vertices, error", [
+    # a square pyramid: the base facet has four vertices
+    ([(1, 1, -1), (1, -1, -1), (-1, 1, -1), (-1, -1, -1), (0, 0, 1)],
+     NonSimplicialFacet),
+    # a duplicated hull vertex
+    ([(1, 0), (0, 1), (-1, 0), (0, -1), (0, 1)], NonSimplicialFacet),
+    # a point in the middle of an edge
+    ([(2, 0), (0, 2), (-2, 0), (0, -2), (1, 1)], NonSimplicialFacet),
+    # the origin on a facet (offset 0)
+    ([(1, 0), (-1, 0), (0, 1)], OriginNotInterior),
+    # dimension 1: a repeated end point, and a segment beside the origin
+    ([(1,), (-1,), (1,)], NonSimplicialFacet),
+    ([(1,), (2,)], OriginNotInterior),
+])
+def test_single_fault_polytopes(vertices, error):
+    with pytest.raises(error):
+        parse_polytope_unchecked(_poly_text(vertices))
+    with pytest.raises(error):
+        oracle_facets(vertices, len(vertices[0]))
+
+
+def test_segment_is_p1():
+    assert parse_polytope_as_face_fan("POLY 1 2\n1\n-1\n") == P1
+
+
+def test_interior_vertex_fails_ray_coverage(tmp_path, capsys):
+    triangle = [(3, -1), (-1, 3), (-1, -1)]
+    extra = triangle + [(1, 0)]
+    assert _facet_walk(extra, 2) == _facet_walk(triangle, 2)
+    assert "ray_coverage" in \
+        validate(parse_polytope_unchecked(_poly_text(extra))).failed_names
+    path = tmp_path / "interior.poly"
+    path.write_text(_poly_text(extra))
+    assert main(["validate", str(path), "--format", "json"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {"name": "ray_coverage", "passed": False} in \
+        [{k: c[k] for k in ("name", "passed")} for c in checks]
+
+
+def test_cross_polytope_in_dimension_ten():
+    # 1024 facets; an exhaustive scan would try C(20, 10) = 184756 subsets.
+    vertices = [tuple(sign * int(i == j) for j in range(10))
+                for i in range(10) for sign in (1, -1)]
+    assert parse_polytope_unchecked(_poly_text(vertices)) == \
+        _product([P1] * 10)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

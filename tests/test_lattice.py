@@ -11,7 +11,6 @@ from toricfano.errors import DependentSpan, NotSquare, SingularBasis
 from toricfano.lattice import (
     _row_hermite,
     determinant,
-    hermite_normal_form,
     integer_kernel,
     is_primitive,
     make_primitive,
@@ -53,7 +52,6 @@ def test_hermite_form_properties():
                     for j in range(cols)] for i in range(rows)]
         assert h == product
         assert rank == matrix_rank(entries)
-        assert hermite_normal_form(entries) == h
         # Echelon shape with positive pivots.
         last = -1
         for row in h:
@@ -116,7 +114,7 @@ def test_quotient_projection_basics():
     # The span direction maps to zero; the map is surjective onto Z^2.
     assert apply((1, 0, 0)) == [0, 0]
     image = [apply(v) for v in ((0, 1, 0), (0, 0, 1))]
-    assert hermite_normal_form(image) == [[1, 0], [0, 1]]
+    assert _row_hermite(image)[0] == [[1, 0], [0, 1]]
     # A full span has the zero lattice as quotient.
     assert quotient_lattice_projection([(1, 0), (0, 1)]) == []
 
