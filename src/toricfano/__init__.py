@@ -40,7 +40,6 @@ from .fan import (
     validate,
 )
 from .fvector import (
-    BoundTable,
     Discrepancy,
     FVector,
     check_binomial_identities,

@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -23,7 +24,13 @@ from .errors import (
 )
 from .fan import Fan, require_valid, validate
 from .fvector import corollary_bound_table, f_vector, max_rho_bound
-from .invariants import is_fano, mukai_check, pseudo_index, wall_curves
+from .invariants import (
+    is_fano,
+    mukai_check,
+    picard_number,
+    pseudo_index,
+    wall_curves,
+)
 from .io import parse_fan_unchecked, parse_polytope_unchecked, render_report
 from .primitive import all_relations
 
@@ -72,7 +79,7 @@ def _invariants_payload(fan: Fan) -> dict:
         "dimension": fan.dim,
         "ray_count": len(fan.rays),
         "rays": [list(r) for r in fan.rays],
-        "picard_rho": len(fan.rays) - fan.dim,
+        "picard_rho": picard_number(fan),
         "fano": fano,
         "pseudo_index_iota": pseudo_index(fan) if fano else None,
         "relations": [{
@@ -141,9 +148,10 @@ def cmd_mukai(args) -> int:
 def cmd_bounds(args) -> int:
     try:
         face_bound = max_rho_bound(args.n, args.iota)
-        mukai_bound = corollary_bound_table().get(args.n, args.iota)
     except RegimeUnsupported as err:
         return _fail(str(err))
+    # max_rho_bound has rejected every cell the table lacks.
+    mukai_bound = corollary_bound_table()[args.n, args.iota]
     _emit({
         "n": args.n,
         "iota": args.iota,
@@ -182,14 +190,19 @@ def _process_file(path: str) -> dict:
 
 
 def cmd_batch(args) -> int:
+    if args.workers < 1:
+        return _fail(f"--workers must be at least 1, got {args.workers}")
     root = Path(args.directory)
     try:
         candidates = sorted(str(p) for p in root.iterdir()
                             if p.suffix in (".fan", ".poly"))
     except OSError as err:
         return _fail(str(err))
-    if args.workers > 1 and len(candidates) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # The pool starts all its processes at once, so never ask for more than
+    # there are files or CPUs.
+    workers = min(args.workers, len(candidates), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_process_file, candidates))
     else:
         entries = [_process_file(p) for p in candidates]
@@ -254,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="verify every .fan/.poly file in a directory")
     p.add_argument("directory")
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel worker processes")
+                   help="parallel worker processes (at least 1; capped at "
+                        "the number of files and of CPUs)")
     p.add_argument("--report", default=None,
                    help="also write the report to this path")
     p.set_defaults(func=cmd_batch)

@@ -17,7 +17,8 @@ class NotSquare(ToricError):
 
 
 class DependentSpan(ToricError):
-    """A quotient projection was requested for a dependent or unsaturated span."""
+    """The rays of a cone are linearly dependent, so the cone has no
+    quotient lattice of the right rank."""
 
 
 class DimensionOutOfRange(ToricError):

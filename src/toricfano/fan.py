@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from . import lattice
 from .errors import (
     ConeTooSmall,
+    DependentSpan,
     DimensionOutOfRange,
     NotACone,
     ValidationError,
@@ -365,8 +366,11 @@ def invariant_subvariety_fan(fan: Fan, sigma: Sequence[int]) -> QuotientFan:
     k = len(sigma)
     if k >= fan.dim:
         raise DimensionOutOfRange("quotient rank would be zero")
-    q = lattice.quotient_lattice_projection(
-        [fan.rays[i] for i in sigma], dim=fan.dim)
+    # The rows of the integer kernel map N onto N(sigma), the quotient of N
+    # by the lattice points in the real span of sigma.
+    q = lattice.integer_kernel([fan.rays[i] for i in sigma])
+    if len(q) != fan.dim - k:
+        raise DependentSpan("span vectors are linearly dependent")
     sigma_set = set(sigma)
     star_rays: list[int] = []
     projected: dict[int, IntVector] = {}

@@ -69,8 +69,7 @@ def check_binomial_identities(fv: FVector, iota: int) -> bool:
 def is_simplex_criterion(fv: FVector) -> bool:
     """Whether f_{j-1} = C(f_0, j) for all j up to [n/2] + 1, which holds
     exactly for boundaries of simplices."""
-    return all(fv.f[j] == comb(fv.f0, j)
-               for j in range(1, fv.n // 2 + 2))
+    return check_binomial_identities(fv, fv.n // 2 + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -258,30 +257,26 @@ class Discrepancy:
     engine_value: Fraction
 
 
+_FK_OFFSETS = range(-2, 7)
+
+
 def closed_form_cross_check(
         n: int,
         f0_values: Sequence[int] | None = None,
-        fk_offsets: Sequence[int] | None = None,
-        fk_form: Callable[[int, int], Fraction] | None = None,
-        tail_form: Callable[[int, int | Fraction, int],
-                            tuple[Fraction, Fraction]] | None = None,
+        fk_form: Callable[[int, int], Fraction] = _fk_closed,
 ) -> list[Discrepancy]:
     """Compare the closed forms against the palindromy engine.
 
     The engine is fed the same hypothesis inputs (binomial prefix, free
-    f_{k-1}); both routes must produce identical values. Alternative formula
-    implementations can be injected to demonstrate that a transcription slip
-    would be caught.
+    f_{k-1} = C(f_0, k) + offset for each offset in _FK_OFFSETS); both
+    routes must produce identical values. An alternative f_k formula can be
+    injected to demonstrate that a transcription slip would be caught.
     """
     if n < 4:
         raise DimensionOutOfRange("n must be at least 4")
     k = n // 2
-    fk_form = fk_form or _fk_closed
-    tail_form = tail_form or _tail_closed
     if f0_values is None:
         f0_values = range(n + 1, n + 13)
-    if fk_offsets is None:
-        fk_offsets = range(-2, 7)
     out: list[Discrepancy] = []
     for f0 in f0_values:
         prefix = [comb(f0, j) for j in range(k + 1)]
@@ -290,10 +285,10 @@ def closed_form_cross_check(
         if closed != full[k + 1]:
             out.append(Discrepancy("fk", (f0,), Fraction(closed),
                                    full[k + 1]))
-        for off in fk_offsets:
+        for off in _FK_OFFSETS:
             s = comb(f0, k) + off
             full2 = ds_tail_from_prefix(n, prefix[:k] + [s])
-            got2, got3 = tail_form(f0, s, n)
+            got2, got3 = _tail_closed(f0, s, n)
             want2, want3 = full2[n - 1], full2[n - 2]
             if got2 != want2:
                 out.append(Discrepancy("tail_fn2", (f0, s), Fraction(got2),
@@ -389,22 +384,8 @@ def max_rho_bound(n: int, iota: int) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class BoundTable:
-    """Bounds per (n, iota) cell."""
-
-    entries: tuple[tuple[tuple[int, int], int], ...]
-
-    def get(self, n: int, iota: int) -> int:
-        for cell, bound in self.entries:
-            if cell == (n, iota):
-                return bound
-        raise RegimeUnsupported(f"no table entry for (n={n}, iota={iota})")
-
-
-def corollary_bound_table() -> BoundTable:
+def corollary_bound_table() -> dict[tuple[int, int], int]:
     """The bounds equivalent to rho * (iota - 1) <= n over both regimes,
-    namely floor(n / (iota - 1))."""
-    cells = REGIME_HALF + REGIME_HALF_MINUS_ONE
-    return BoundTable(tuple(((n, iota), n // (iota - 1))
-                            for n, iota in cells))
+    namely floor(n / (iota - 1)), keyed by the (n, iota) cell."""
+    return {(n, iota): n // (iota - 1)
+            for n, iota in REGIME_HALF + REGIME_HALF_MINUS_ONE}

@@ -20,7 +20,7 @@ from .errors import (
     NotFano,
     UnpairedWall,
 )
-from .fan import Fan, faces, wall_map
+from .fan import Fan, wall_map
 from .primitive import PrimitiveRelation, all_relations, primitive_collections
 
 # ---------------------------------------------------------------------------
@@ -260,9 +260,10 @@ def fibration_in_P_iota(fan: Fan) -> bool:
     iota = pseudo_index(fan)
     by_relation = any(r.order == iota and not r.targets
                       for r in all_relations(fan))
-    f0 = len(fan.rays)
-    f_iota_minus_1 = len(faces(fan, iota)) if iota <= fan.dim else 0
-    by_counts = f_iota_minus_1 < comb(f0, iota)
+    # fvector imports this module, so the import waits for the call.
+    from .fvector import f_vector
+    f_iota_minus_1 = f_vector(fan).face_count(iota - 1)
+    by_counts = f_iota_minus_1 < comb(len(fan.rays), iota)
     if by_relation != by_counts:
         raise InternalInconsistency(
             f"fibration criteria disagree: relation={by_relation}, "

@@ -263,25 +263,19 @@ def _is_flat(value) -> bool:
 def _text_lines(value, indent: int) -> list[str]:
     pad = "  " * indent
     if isinstance(value, dict):
-        out = []
-        for key in sorted(value):
-            item = value[key]
-            if isinstance(item, (dict, list)) and item and not _is_flat(item):
-                out.append(f"{pad}{key}:")
-                out.extend(_text_lines(item, indent + 1))
-            else:
-                out.append(f"{pad}{key}: {_scalar(item)}")
-        return out
-    if isinstance(value, list):
-        out = []
-        for item in value:
-            if isinstance(item, (dict, list)) and item and not _is_flat(item):
-                out.append(f"{pad}-")
-                out.extend(_text_lines(item, indent + 1))
-            else:
-                out.append(f"{pad}- {_scalar(item)}")
-        return out
-    return [f"{pad}{_scalar(value)}"]
+        pairs = [(f"{key}:", value[key]) for key in sorted(value)]
+    elif isinstance(value, list):
+        pairs = [("-", item) for item in value]
+    else:
+        return [f"{pad}{_scalar(value)}"]
+    out = []
+    for label, item in pairs:
+        if isinstance(item, (dict, list)) and item and not _is_flat(item):
+            out.append(f"{pad}{label}")
+            out.extend(_text_lines(item, indent + 1))
+        else:
+            out.append(f"{pad}{label} {_scalar(item)}")
+    return out
 
 
 def _scalar(value) -> str:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .errors import DependentSpan, NotSquare, SingularBasis
+from .errors import NotSquare, SingularBasis
 
 IntVector = tuple[int, ...]
 RatVector = tuple[Fraction, ...]
@@ -168,40 +168,3 @@ def integer_kernel(rows: Sequence[Sequence[int]]) -> list[IntVector]:
         return []
     canon, _, _ = _row_hermite(basis)
     return [tuple(r) for r in canon]
-
-
-def quotient_lattice_projection(span: Sequence[Sequence[int]],
-                                dim: int | None = None) -> list[list[int]]:
-    """A surjection q: Z^n -> Z^(n-k) whose kernel is exactly the span lattice.
-
-    The span must consist of k independent primitive vectors generating a
-    saturated sublattice (always true for the rays of a smooth cone). With an
-    empty span the identity map on Z^dim is returned. The map is given by
-    its rows, so q(v) is the vector of dot products of the rows with v.
-    """
-    if not span:
-        if dim is None:
-            raise ValueError("dim is required for an empty span")
-        return [[int(i == j) for j in range(dim)] for i in range(dim)]
-    n = len(span[0])
-    if dim is not None and dim != n:
-        raise ValueError("dim disagrees with vector length")
-    if any(len(v) != n for v in span):
-        raise ValueError("ragged span")
-    k = len(span)
-    if k > n:
-        raise DependentSpan("more vectors than ambient rank")
-    # Reduce the n x k matrix of span columns; the transform rows beyond the
-    # rank annihilate every span vector.
-    columns = [[span[j][i] for j in range(k)] for i in range(n)]
-    h, u, rank = _row_hermite(columns)
-    if rank < k:
-        raise DependentSpan("span vectors are linearly dependent")
-    pivot_product = 1
-    for i in range(rank):
-        pivot_product *= next(x for x in h[i] if x != 0)
-    if pivot_product != 1:
-        raise DependentSpan("span does not generate a saturated sublattice")
-    # A full span has the zero lattice as quotient: no rows.
-    canon, _, _ = _row_hermite(u[k:])
-    return canon

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 
 import pytest
 
+import toricfano.cli
 from toricfano.cli import main
 from toricfano.oracle import corpus_directory
 
@@ -17,6 +20,12 @@ NO_CONES = "FAN 2 2 0\n1 0\n0 1\n"
 NOT_UTF8 = b"\xff\xfeFAN 2\n"
 # The origin is interior, but the cone on (1, 0) and (-1, -2) is singular.
 SINGULAR_TRIANGLE = "POLY 2 3\n1 0\n0 1\n-1 -2\n"
+# sha256 of `batch .` run inside the corpus directory; the reports are
+# byte-identical across refactors, so any change here is a behaviour change.
+GOLDEN_BATCH_SHA256 = {
+    "text": "cb12b7f0ca05682b1a08ce80b73dbb257caba53dcc907b288699aad1a06d8402",
+    "json": "c078682cc05ab0c46b3dd6a6d22a014038ef40a974235e1493c5e61c4dca072a",
+}
 
 
 @pytest.fixture
@@ -195,6 +204,57 @@ def test_batch_workers_match_serial(capsys):
     assert main(["batch", str(corpus_directory()), "--format", "json",
                  "--workers", "4"]) == 0
     assert capsys.readouterr().out == serial
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_BATCH_SHA256))
+def test_batch_report_matches_golden_digest(fmt, monkeypatch, capsys):
+    # Relative paths keep the report independent of the checkout location.
+    monkeypatch.chdir(corpus_directory())
+    assert main(["batch", ".", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        GOLDEN_BATCH_SHA256[fmt]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_batch_rejects_fewer_than_one_worker(workers, tmp_path, capsys):
+    (tmp_path / "plane.fan").write_text(PLANE)
+    assert main(["batch", str(tmp_path), "--workers", workers]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records the pool size it is asked
+    for and maps in this process, so no worker is ever started."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers):
+        _SerialPool.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items):
+        return map(func, items)
+
+
+def test_batch_pool_is_capped_at_files_and_cpus(tmp_path, monkeypatch,
+                                                capsys):
+    for name in ("a", "b", "c"):
+        (tmp_path / f"{name}.fan").write_text(PLANE)
+    _SerialPool.requested = []
+    monkeypatch.setattr(toricfano.cli, "ProcessPoolExecutor", _SerialPool)
+    assert main(["batch", str(tmp_path), "--format", "json",
+                 "--workers", "1000000"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["passed"] == 3
+    assert all(n <= min(3, os.cpu_count() or 1)
+               for n in _SerialPool.requested)
 
 
 def test_poly_files_accepted(capsys):

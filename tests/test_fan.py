@@ -6,10 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfano.errors import ConeTooSmall, DimensionOutOfRange, NotACone
+from toricfano.errors import (
+    ConeTooSmall,
+    DependentSpan,
+    DimensionOutOfRange,
+    NotACone,
+)
 from toricfano.fan import (
     construct_product,
     construct_projective_space,
+    face_table,
     faces,
     invariant_subvariety_fan,
     is_cone,
@@ -206,3 +212,28 @@ def test_invariant_subvariety_rejects_full_cone():
         invariant_subvariety_fan(p2, p2.max_cones[0])
     with pytest.raises(NotACone):
         invariant_subvariety_fan(p2, (0, 1, 2))
+
+
+def test_invariant_subvariety_rejects_dependent_rays():
+    # Not a fan validate accepts: the cone on e1, -e1, e2 is not strictly
+    # convex, and the rays of its face sigma = {e1, -e1} span a line.
+    fan = make_fan(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1)],
+                   [(0, 1, 2), (0, 1, 3)])
+    sigma = (fan.rays.index((1, 0, 0)), fan.rays.index((-1, 0, 0)))
+    with pytest.raises(DependentSpan):
+        invariant_subvariety_fan(fan, sigma)
+
+
+def test_invariant_subvarieties_of_corpus_fans_validate(corpus_fans):
+    checked = 0
+    for name, fan in corpus_fans.items():
+        if len(fan.rays) > 10:
+            continue
+        table = face_table(fan)
+        for k in range(1, fan.dim):
+            for sigma in table[k]:
+                sub = invariant_subvariety_fan(fan, sigma).fan
+                assert sub.dim == fan.dim - k, (name, sigma)
+                assert validate(sub).ok, (name, sigma)
+                checked += 1
+    assert checked > 0

@@ -211,10 +211,9 @@ def test_max_rho_bound_rejects_other_regimes():
 
 def test_corollary_table():
     table = corollary_bound_table()
-    assert table.get(4, 2) == 4
-    assert table.get(5, 2) == 5
-    assert table.get(6, 3) == 3
-    assert table.get(7, 2) == 7
-    assert table.get(13, 5) == 3
-    with pytest.raises(RegimeUnsupported):
-        table.get(14, 2)
+    assert table[4, 2] == 4
+    assert table[5, 2] == 5
+    assert table[6, 3] == 3
+    assert table[7, 2] == 7
+    assert table[13, 5] == 3
+    assert (14, 2) not in table

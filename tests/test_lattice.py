@@ -1,4 +1,4 @@
-"""Integer linear algebra: determinants, Hermite form, kernels, quotients."""
+"""Integer linear algebra: determinants, Hermite form, kernels, solves."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricfano.errors import DependentSpan, NotSquare, SingularBasis
+from toricfano.errors import NotSquare, SingularBasis
 from toricfano.lattice import (
     _row_hermite,
     determinant,
@@ -15,7 +15,6 @@ from toricfano.lattice import (
     is_primitive,
     make_primitive,
     matrix_rank,
-    quotient_lattice_projection,
     solve_in_basis,
 )
 
@@ -105,7 +104,8 @@ def test_solve_in_basis():
 
 
 def test_quotient_projection_basics():
-    q = quotient_lattice_projection([(1, 0, 0)])
+    # The integer kernel of a span's rows is the quotient map by that span.
+    q = integer_kernel([(1, 0, 0)])
     assert len(q) == 2 and all(len(row) == 3 for row in q)
 
     def apply(v):
@@ -116,21 +116,7 @@ def test_quotient_projection_basics():
     image = [apply(v) for v in ((0, 1, 0), (0, 0, 1))]
     assert _row_hermite(image)[0] == [[1, 0], [0, 1]]
     # A full span has the zero lattice as quotient.
-    assert quotient_lattice_projection([(1, 0), (0, 1)]) == []
-
-
-def test_quotient_projection_rejects_bad_spans():
-    with pytest.raises(DependentSpan):
-        quotient_lattice_projection([(2, 0, 0)])
-    with pytest.raises(DependentSpan):
-        quotient_lattice_projection([(1, 0, 0), (2, 0, 0)])
-
-
-def test_quotient_projection_empty_span_needs_dim():
-    assert quotient_lattice_projection([], dim=3) == \
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    with pytest.raises(ValueError):
-        quotient_lattice_projection([])
+    assert integer_kernel([(1, 0), (0, 1)]) == []
 
 
 def test_primitivity_helpers():
