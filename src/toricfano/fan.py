@@ -5,8 +5,8 @@ A fan is stored combinatorially: an ambient rank, a tuple of primitive ray
 generators, and the maximal cones as sorted index tuples into the ray list.
 Cone references throughout the package are plain sorted index tuples; the
 empty tuple is the zero cone. Data derived from a fan (its face table,
-primitive collections and relations, wall curves) is computed at most once
-per Fan object through Fan.cached.
+primitive collections and relations, wall curves, the adjugate of each
+maximal cone) is computed at most once per Fan object through Fan.cached.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import (
     DependentSpan,
     DimensionOutOfRange,
     NotACone,
+    SingularBasis,
     ValidationError,
 )
 from .lattice import IntVector
@@ -169,6 +170,35 @@ def _check_facet_pairing(fan: Fan) -> CheckResult:
     return CheckResult("facet_pairing", True)
 
 
+ConeAdjugate = tuple[int, tuple[IntVector, ...] | None]
+
+
+def _cone_adjugates(fan: Fan) -> dict[ConeRef, ConeAdjugate]:
+    """Each maximal cone -> (det, columns of adj) of the matrix whose rows
+    are its rays; the columns are None when det is 0."""
+    table = {}
+    for c in fan.max_cones:
+        det, adj = lattice.adjugate([fan.rays[i] for i in c])
+        table[c] = (det, None if adj is None else tuple(zip(*adj)))
+    return table
+
+
+def _cone_coordinates(fan: Fan, cone: ConeRef,
+                      target: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """(numerators, det) with target = sum(numerators[i] / det * ray_i)
+    over the rays of the maximal cone, from the fan's cached adjugate
+    table; raises SingularBasis when the cone's rays are dependent.
+
+    The rays are the rows of a matrix A, so the coordinates are
+    target * A^-1, and det * A^-1 is adj A.
+    """
+    det, columns = fan.cached(_cone_adjugates)[cone]
+    if columns is None:
+        raise SingularBasis("basis vectors are linearly dependent")
+    return tuple(sum(a * b for a, b in zip(col, target))
+                 for col in columns), det
+
+
 def _check_covering_degree(fan: Fan, dets: Sequence[int]) -> CheckResult:
     """Decide whether the cones cover R^n exactly once.
 
@@ -205,8 +235,8 @@ def _check_covering_degree(fan: Fan, dets: Sequence[int]) -> CheckResult:
     first = fan.max_cones[0]
     point = lattice.vector_sum([fan.rays[i] for i in first], n)
     for c in fan.max_cones[1:]:
-        coeffs = lattice.solve_in_basis([fan.rays[i] for i in c], point)
-        if all(x >= 0 for x in coeffs):
+        nums, det = _cone_coordinates(fan, c, point)
+        if all(x * det >= 0 for x in nums):
             return CheckResult(
                 "covering_degree", False,
                 f"interior point {point} of cone {first} also lies in "
@@ -222,8 +252,8 @@ def validate(fan: Fan) -> ValidationReport:
     Deterministic; returns a structured report, and mathematically invalid
     fans never raise.
     """
-    dets = [lattice.determinant([fan.rays[i] for i in c])
-            for c in fan.max_cones]
+    table = fan.cached(_cone_adjugates)
+    dets = [table[c][0] for c in fan.max_cones]
     checks = [
         _check_primitivity(fan),
         _check_distinctness(fan),

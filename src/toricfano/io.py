@@ -3,11 +3,12 @@ face-fan construction, and deterministic report rendering.
 
 The face fan of a `.poly` polytope has one cone per facet. The facets are
 found by gift wrapping: one facet from the hyperplane x_1 = max x_1, then
-across each ridge to the facet on its other side, with one integer kernel
-per ridge. A facet with more than n vertices raises NonSimplicialFacet, and
-one that does not keep the origin strictly inside raises
-OriginNotInterior; on a polytope with both faults, the facet the walk
-reaches first decides which.
+across each ridge to the facet on its other side, with the directions of
+all of a facet's ridges read off one adjugate of its vertex matrix. A
+facet with more than n vertices raises NonSimplicialFacet, and one that
+does not keep the origin strictly inside raises OriginNotInterior; on a
+polytope with both faults, the facet the walk reaches first decides
+which.
 
 The `.fan` grammar: a header line `FAN <n> <m> <c>`, then m ray lines of n
 integers each, then c cone lines of n ray indices each. The `.poly` grammar:
@@ -171,8 +172,9 @@ def _facet_walk(vertices: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, 
     """Facet vertex-index sets of conv(vertices) by gift wrapping: find one
     facet, then cross each of its ridges to the facet on the other side
     (Chand & Kapur 1970). A simplicial polytope has exactly two facets on
-    each ridge, so the cost is about ridges * vertices. Raises when a
-    facet is non-simplicial or fails to keep the origin strictly inside.
+    each ridge, so the cost is about ridges * vertices, plus one adjugate
+    per facet for its ridge directions. Raises when a facet is
+    non-simplicial or fails to keep the origin strictly inside.
     """
     values = [v[0] for v in vertices]
     if n == 1:
@@ -212,16 +214,26 @@ def _facet_walk(vertices: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, 
     while queue:
         facet = queue.pop()
         normal, offset = planes[facet]
-        for w in facet:
-            ridge = tuple(i for i in facet if i != w)
-            if ridge in done:
-                continue
-            done.add(ridge)
-            (c,) = lattice.integer_kernel(through(ridge, normal))
-            base = vertices[ridge[0]]
-            if _dot(c, vertices[w]) < _dot(c, base):
-                c = tuple(-x for x in c)
-            tilted, tilted_offset = _tilt(vertices, normal, offset, c, base)
+        open_ridges = []
+        for p in range(n):
+            ridge = facet[:p] + facet[p + 1:]
+            if ridge not in done:
+                done.add(ridge)
+                open_ridges.append((p, ridge))
+        if not open_ridges:
+            continue
+        # With the facet's vertices as the rows of A, column p of adj A is
+        # orthogonal to every vertex but the p-th, where it takes the value
+        # det A. Scaled by sign(det A), it is a positive multiple of the
+        # ridge direction orthogonal to the normal, pointing towards the
+        # omitted vertex, plus a multiple of the normal: both give the same
+        # meet with the facet hyperplane, hence the same tilt.
+        det, adj = lattice.adjugate([vertices[i] for i in facet])
+        sign = 1 if det > 0 else -1
+        for p, ridge in open_ridges:
+            c = tuple(sign * row[p] for row in adj)
+            tilted, tilted_offset = _tilt(vertices, normal, offset, c,
+                                          vertices[ridge[0]])
             neighbour = _checked_facet(vertices, tilted, tilted_offset, n)
             if neighbour not in planes:
                 planes[neighbour] = (tilted, tilted_offset)

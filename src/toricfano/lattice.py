@@ -79,30 +79,51 @@ def solve_in_basis(basis: Sequence[Sequence[int]],
     return tuple(aug[r][k] for r in range(k))
 
 
-def determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by fraction-free (Bareiss) elimination."""
+def adjugate(rows: Sequence[Sequence[int]]
+             ) -> tuple[int, list[list[int]] | None]:
+    """(det A, adj A) of a square integer matrix A given by its rows, with
+    A * adj == det * I; adj is None when det is 0.
+
+    Fraction-free (Bareiss) Gauss-Jordan on [A | I]: after step k every
+    entry is a minor of order k + 1 of the row-swapped [A | I], so each
+    division is exact. At the end the left block is d * I, with d the
+    determinant of the row-swapped A, and the right block M satisfies
+    M * A = d * I. So M = d * A^-1, and adj A = sign * M, where sign is
+    the parity of the row swaps and det A = sign * d.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise NotSquare(f"matrix with {n} rows is not square")
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
+    a = [list(r) + [int(i == j) for j in range(n)]
+         for i, r in enumerate(rows)]
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if a[k][k] == 0:
             piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
             if piv is None:
-                return 0
+                return 0, None
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                # Bareiss update: divisions are exact.
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = a[i]
+            f = row[k]
+            if f:
+                a[i] = [(x * pivot - f * y) // prev
+                        for x, y in zip(row, pivot_row)]
+            elif pivot != prev:
+                a[i] = [x * pivot // prev for x in row]
+        prev = pivot
+    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+
+
+def determinant(rows: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant: the first entry of adjugate(rows)."""
+    return adjugate(rows)[0]
 
 
 def _row_hermite(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]],

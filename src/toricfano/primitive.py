@@ -10,6 +10,7 @@ lies in the integer kernel of the ray matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -19,7 +20,7 @@ from .errors import (
     NonIntegralCoefficient,
     NotInSupport,
 )
-from .fan import Fan, face_table
+from .fan import Fan, _cone_coordinates, face_table
 
 Collection = tuple[int, ...]
 
@@ -83,9 +84,10 @@ def primitive_collections(fan: Fan) -> list[Collection]:
 def primitive_relation(fan: Fan, collection: Sequence[int]) -> PrimitiveRelation:
     """Compute the primitive relation of a collection.
 
-    The sum of the collection is located in a maximal cone by exact linear
-    solves; zero coefficients are dropped so the retained targets span the
-    minimal containing cone.
+    The sum of the collection is located in the first maximal cone, in
+    max_cones order, where its coordinates are all nonnegative, read off
+    the fan's cached cone adjugates in integers; zero coefficients are
+    dropped so the retained targets span the minimal containing cone.
     """
     collection = tuple(sorted(collection))
     m = len(fan.rays)
@@ -97,22 +99,22 @@ def primitive_relation(fan: Fan, collection: Sequence[int]) -> PrimitiveRelation
     else:
         located = None
         for cone in fan.max_cones:
-            sol = lattice.solve_in_basis([fan.rays[i] for i in cone], s)
-            if all(c >= 0 for c in sol):
-                located = (cone, sol)
+            nums, det = _cone_coordinates(fan, cone, s)
+            if all(x * det >= 0 for x in nums):
+                located = (cone, nums, det)
                 break
         if located is None:
             raise NotInSupport(
                 f"sum of {collection} lies in no maximal cone")
-        cone, sol = located
+        cone, nums, det = located
         pairs = []
-        for idx, coeff in zip(cone, sol):
-            if coeff == 0:
+        for idx, num in zip(cone, nums):
+            if num == 0:
                 continue
-            if coeff.denominator != 1:
+            if num % det:
                 raise NonIntegralCoefficient(
-                    f"coefficient {coeff} on ray {idx}")
-            pairs.append((idx, int(coeff)))
+                    f"coefficient {Fraction(num, det)} on ray {idx}")
+            pairs.append((idx, num // det))
         pairs.sort()
         targets = tuple(i for i, _ in pairs)
         coeffs = tuple(a for _, a in pairs)

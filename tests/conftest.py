@@ -1,5 +1,6 @@
 """Shared fixtures: the bundled corpus, parsed and validated once, and the
-random relabelling plus GL(n, Z) move used by the property tests."""
+random fans and the random relabelling plus GL(n, Z) move used by the
+property tests."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import json
 import pytest
 from hypothesis import strategies as st
 
-from toricfano.fan import make_fan
+from toricfano.fan import construct_product, make_fan, star_subdivision
 from toricfano.io import parse_fan
 from toricfano.oracle import corpus_directory
 
@@ -31,10 +32,11 @@ def corpus_fingerprints():
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _transformed(fan, data):
-    """The fan under a random ray relabelling and a random GL(n, Z) change
-    of coordinates, drawn as a product of elementary +-1 matrices; a step
-    with i == j negates a row, so the determinant may be -1."""
+def _relabelled(fan, data):
+    """(moved, label): the fan under a random ray relabelling and a random
+    GL(n, Z) change of coordinates, drawn as a product of elementary +-1
+    matrices (a step with i == j negates a row, so the determinant may be
+    -1), and label[i], the index in moved of the image of ray i."""
     n = fan.dim
     matrix = [[int(i == j) for j in range(n)] for i in range(n)]
     steps = data.draw(st.lists(st.tuples(
@@ -47,14 +49,53 @@ def _transformed(fan, data):
             matrix[i] = [x + sign * y for x, y in zip(matrix[i], matrix[j])]
     order = data.draw(st.permutations(range(len(fan.rays))))
     position = {old: new for new, old in enumerate(order)}
-    rays = [tuple(sum(a * b for a, b in zip(row, fan.rays[old]))
-                  for row in matrix) for old in order]
+    images = [tuple(sum(a * b for a, b in zip(row, ray)) for row in matrix)
+              for ray in fan.rays]
+    rays = [images[old] for old in order]
     cones = [[position[i] for i in c] for c in fan.max_cones]
-    return make_fan(n, rays, cones)
+    moved = make_fan(n, rays, cones)
+    return moved, tuple(moved.rays.index(image) for image in images)
 
 
 @pytest.fixture(scope="session")
 def transformed():
     """(fan, Hypothesis data) -> the fan under a random ray relabelling and
     a random GL(n, Z) change of coordinates."""
-    return _transformed
+    return lambda fan, data: _relabelled(fan, data)[0]
+
+
+@pytest.fixture(scope="session")
+def relabelled():
+    """(fan, Hypothesis data) -> (moved, label) as transformed draws it,
+    with label[i] the index in moved of the image of ray i."""
+    return _relabelled
+
+
+def _drawn_fan(corpus_fans, data):
+    """A corpus fan with at most 16 rays, one random star subdivision of a
+    corpus fan, or the product of two corpus fans with at most 12 rays in
+    total (larger products make the oracle's subset scan slow)."""
+    kind = data.draw(st.sampled_from(("corpus", "subdivision", "product")))
+    if kind == "product":
+        pairs = sorted((a, b) for a in corpus_fans for b in corpus_fans
+                       if len(corpus_fans[a].rays)
+                       + len(corpus_fans[b].rays) <= 12)
+        a, b = data.draw(st.sampled_from(pairs))
+        return construct_product(corpus_fans[a], corpus_fans[b])
+    limit = 16 if kind == "corpus" else 15
+    names = sorted(name for name, fan in corpus_fans.items()
+                   if len(fan.rays) <= limit and fan.dim >= 2)
+    fan = corpus_fans[data.draw(st.sampled_from(names))]
+    if kind == "subdivision":
+        cone = data.draw(st.sampled_from(fan.max_cones))
+        sigma = data.draw(st.lists(st.sampled_from(cone), min_size=2,
+                                   max_size=fan.dim, unique=True))
+        fan = star_subdivision(fan, sigma)
+    return fan
+
+
+@pytest.fixture(scope="session")
+def drawn_fan(corpus_fans):
+    """Hypothesis data -> a corpus fan, a star subdivision of one, or a
+    small product of two."""
+    return lambda data: _drawn_fan(corpus_fans, data)

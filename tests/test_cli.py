@@ -202,7 +202,7 @@ def test_batch_workers_match_serial(capsys):
     assert main(["batch", str(corpus_directory()), "--format", "json"]) == 0
     serial = capsys.readouterr().out
     assert main(["batch", str(corpus_directory()), "--format", "json",
-                 "--workers", "4"]) == 0
+                 "--workers", "2"]) == 0
     assert capsys.readouterr().out == serial
 
 

@@ -1,15 +1,20 @@
-"""Integer linear algebra: determinants, Hermite form, kernels, solves."""
+"""Integer linear algebra: adjugates and determinants, Hermite form,
+kernels, solves."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricfano.errors import NotSquare, SingularBasis
 from toricfano.lattice import (
     _row_hermite,
+    adjugate,
     determinant,
     integer_kernel,
     is_primitive,
@@ -35,6 +40,72 @@ def test_determinant_rejects_non_square():
         determinant([[1, 2], [3]])
     with pytest.raises(NotSquare):
         determinant([[1], [2, 3]])
+
+
+def _product(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def _leibniz(a):
+    """The determinant as a signed sum over permutations."""
+    total = 0
+    for perm in permutations(range(len(a))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def test_adjugate_known_values():
+    assert adjugate([]) == (1, [])
+    unimodular = [[2, 1, 0], [1, 1, 0], [0, 3, -1]]
+    det, adj = adjugate(unimodular)
+    assert det == -1
+    assert _product(unimodular, adj) == [[-int(i == j) for j in range(3)]
+                                         for i in range(3)]
+    # adj is det times the inverse, so -adj is the inverse here.
+    assert _product([[-x for x in row] for row in adj], unimodular) == \
+        [[int(i == j) for j in range(3)] for i in range(3)]
+    assert adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
+    assert adjugate([[3, 1], [4, 2]]) == (2, [[2, -1], [-4, 3]])
+    assert adjugate([[1, 2], [2, 4]]) == (0, None)
+    assert adjugate([[0, 0], [0, 0]]) == (0, None)
+
+
+def test_adjugate_rejects_non_square():
+    for rows in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(NotSquare):
+            adjugate(rows)
+
+
+@st.composite
+def _square_matrices(draw):
+    """An n x n integer matrix, n <= 6, entries in [-3, 3]; some have one
+    row a multiple of another, so det 0 is drawn often."""
+    n = draw(st.integers(0, 6))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.permutations(range(n)))[:2]
+        rows[i] = [draw(entry) * x for x in rows[j]]
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=_square_matrices())
+def test_adjugate_property(a):
+    det, adj = adjugate(a)
+    assert det == _leibniz(a) == determinant(a)
+    if det == 0:
+        assert adj is None
+    else:
+        assert _product(a, adj) == [[det * (i == j) for j in range(len(a))]
+                                    for i in range(len(a))]
 
 
 def test_hermite_form_properties():

@@ -65,34 +65,11 @@ def test_oracle_agrees_with_fast_face_counts():
         assert oracle_f_vector(fan) == f_vector(fan)
 
 
-def _drawn_fan(corpus_fans, data):
-    """A corpus fan with at most 16 rays, one random star subdivision of a
-    corpus fan, or the product of two corpus fans with at most 12 rays in
-    total (larger products make the oracle's subset scan slow)."""
-    kind = data.draw(st.sampled_from(("corpus", "subdivision", "product")))
-    if kind == "product":
-        pairs = sorted((a, b) for a in corpus_fans for b in corpus_fans
-                       if len(corpus_fans[a].rays)
-                       + len(corpus_fans[b].rays) <= 12)
-        a, b = data.draw(st.sampled_from(pairs))
-        return construct_product(corpus_fans[a], corpus_fans[b])
-    limit = 16 if kind == "corpus" else 15
-    names = sorted(name for name, fan in corpus_fans.items()
-                   if len(fan.rays) <= limit and fan.dim >= 2)
-    fan = corpus_fans[data.draw(st.sampled_from(names))]
-    if kind == "subdivision":
-        cone = data.draw(st.sampled_from(fan.max_cones))
-        sigma = data.draw(st.lists(st.sampled_from(cone), min_size=2,
-                                   max_size=fan.dim, unique=True))
-        fan = star_subdivision(fan, sigma)
-    return fan
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_oracle_agrees_under_relabelling_and_gl_n_z(corpus_fans, transformed,
+def test_oracle_agrees_under_relabelling_and_gl_n_z(drawn_fan, transformed,
                                                     data):
-    drawn = _drawn_fan(corpus_fans, data)
+    drawn = drawn_fan(data)
     fan = transformed(drawn, data)
     assert primitive_collections(fan) == oracle_primitive_collections(fan)
     assert f_vector(fan) == oracle_f_vector(fan)

@@ -6,8 +6,10 @@ from functools import reduce
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toricfano.errors import NonIntegralCoefficient
+from toricfano.errors import NonIntegralCoefficient, SingularBasis
 from toricfano.fan import (
     construct_product,
     construct_projective_space,
@@ -15,6 +17,7 @@ from toricfano.fan import (
     is_cone,
     make_fan,
     star_subdivision,
+    validate,
 )
 from toricfano.fvector import f_vector
 from toricfano.invariants import wall_curves
@@ -82,6 +85,46 @@ def test_non_smooth_fan_yields_non_integral_coefficients():
     with pytest.raises(NonIntegralCoefficient):
         for col in cols:
             primitive_relation(fan, col)
+
+
+def test_dependent_cone_before_the_sum_raises_singular_basis():
+    # Cone (0, 2) spans a line and comes first; the sum (1, 1) of the
+    # collection (1, 2) is ray 3, which only the later cones hold.
+    fan = make_fan(2, [(-1, 0), (0, 1), (1, 0), (1, 1)],
+                   [(0, 2), (1, 3), (2, 3)])
+    assert fan.max_cones[0] == (0, 2)
+    assert (1, 2) in primitive_collections(fan)
+    with pytest.raises(SingularBasis):
+        primitive_relation(fan, (1, 2))
+    checks = {c.name: c for c in validate(fan).checks}
+    assert not checks["smoothness"].passed
+    assert checks["smoothness"].detail == "cone (0, 2) has determinant 0"
+    assert not checks["covering_degree"].passed
+    assert checks["covering_degree"].detail == \
+        "not attempted: earlier checks failed"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_relations_under_relabelling_and_gl_n_z(drawn_fan, relabelled, data):
+    fan = drawn_fan(data)
+    moved, label = relabelled(fan, data)
+
+    def mapped(rel):
+        vec = [0] * len(label)
+        for i, a in enumerate(rel.class_vector):
+            vec[label[i]] = a
+        pairs = sorted((label[t], a) for t, a in zip(rel.targets, rel.coeffs))
+        return (tuple(sorted(label[i] for i in rel.collection)),
+                tuple(t for t, _ in pairs), tuple(a for _, a in pairs),
+                rel.order, rel.degree, tuple(vec))
+
+    def fields(rel):
+        return (rel.collection, rel.targets, rel.coeffs, rel.order,
+                rel.degree, rel.class_vector)
+
+    assert sorted(fields(r) for r in all_relations(moved)) == \
+        sorted(mapped(r) for r in all_relations(fan))
 
 
 def test_relation_classes_are_linear_relations_among_the_rays():
