@@ -13,7 +13,7 @@ class SingularBasis(ToricError):
 
 
 class NotSquare(ToricError):
-    """A determinant was requested for a non-square matrix."""
+    """An adjugate was requested for a non-square matrix."""
 
 
 class DependentSpan(ToricError):

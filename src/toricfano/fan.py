@@ -235,8 +235,8 @@ def _check_covering_degree(fan: Fan, dets: Sequence[int]) -> CheckResult:
     first = fan.max_cones[0]
     point = lattice.vector_sum([fan.rays[i] for i in first], n)
     for c in fan.max_cones[1:]:
-        nums, det = _cone_coordinates(fan, c, point)
-        if all(x * det >= 0 for x in nums):
+        coeffs = lattice.solve_in_basis([fan.rays[i] for i in c], point)
+        if all(x >= 0 for x in coeffs):
             return CheckResult(
                 "covering_degree", False,
                 f"interior point {point} of cone {first} also lies in "

@@ -121,11 +121,6 @@ def adjugate(rows: Sequence[Sequence[int]]
     return sign * prev, [[sign * x for x in row[n:]] for row in a]
 
 
-def determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant: the first entry of adjugate(rows)."""
-    return adjugate(rows)[0]
-
-
 def _row_hermite(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]],
                                                          list[list[int]],
                                                          int]:
