@@ -45,7 +45,6 @@ from .fvector import (
     check_binomial_identities,
     closed_form_cross_check,
     corollary_bound_table,
-    degree_sum_identity,
     dehn_sommerville_fk,
     dehn_sommerville_tail,
     ds_tail_from_prefix,
@@ -54,7 +53,6 @@ from .fvector import (
     h_vector,
     is_palindromic,
     is_simplex_criterion,
-    lemma_degree_sum_check,
     max_rho_bound,
     psi_k,
     psi_k_eliminated,
@@ -65,9 +63,11 @@ from .invariants import (
     SmallCodimSearch,
     WallCurve,
     contractible_sufficient,
+    degree_sum_identity,
     fibration_in_P_iota,
     is_extremal,
     is_fano,
+    lemma_degree_sum_check,
     mori_cone_extremal_classes,
     mukai_check,
     picard_number,

@@ -111,6 +111,14 @@ def _mukai_payload(fan: Fan) -> dict:
     }
 
 
+def _mukai_failed(payload: dict) -> bool:
+    """Whether a Mukai payload fails: the inequality is violated, or
+    equality holds on a fan not recognized as a product of projective
+    spaces."""
+    return not payload["inequality_holds"] or \
+        payload["equality_case"] == "EqualButUnrecognized"
+
+
 def cmd_validate(args) -> int:
     try:
         fan = _load_unchecked(args.path)
@@ -140,9 +148,7 @@ def cmd_mukai(args) -> int:
                      "undefined")
     payload = _mukai_payload(fan)
     _emit({"path": args.path, **payload}, args.format)
-    failed = not payload["inequality_holds"] or \
-        payload["equality_case"] == "EqualButUnrecognized"
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+    return EXIT_CHECK_FAILED if _mukai_failed(payload) else EXIT_OK
 
 
 def cmd_bounds(args) -> int:
@@ -180,8 +186,7 @@ def _process_file(path: str) -> dict:
     if is_fano(fan):
         payload = _mukai_payload(fan)
         entry["mukai"] = payload
-        if not payload["inequality_holds"] or \
-                payload["equality_case"] == "EqualButUnrecognized":
+        if _mukai_failed(payload):
             entry["status"] = "check_failed"
             entry["detail"] = "inequality or equality recognition failed"
             return entry

@@ -8,8 +8,8 @@ class ToricError(Exception):
 
 
 class SingularBasis(ToricError):
-    """A linear solve was attempted against a dependent basis, a basis with
-    more vectors than coordinates, or a target outside the basis span."""
+    """A linear solve was attempted against a dependent or non-square
+    basis."""
 
 
 class NotSquare(ToricError):

@@ -22,11 +22,9 @@ from .errors import (
     FormulaDiscrepancy,
     InternalInconsistency,
     NonIntegralResult,
-    NotFano,
     RegimeUnsupported,
 )
 from .fan import Fan, face_table
-from .invariants import is_fano, pseudo_index, wall_curves
 
 
 @dataclass(frozen=True)
@@ -305,33 +303,6 @@ def verify_closed_forms(n: int, **kwargs) -> None:
     records = closed_form_cross_check(n, **kwargs)
     if records:
         raise FormulaDiscrepancy(records)
-
-
-# ---------------------------------------------------------------------------
-# degree-sum identity and inequality
-
-
-def degree_sum_identity(fan: Fan) -> bool:
-    """Whether the total of (degree - 2) over all walls equals
-    12 f_{n-3} - 3 (n-1) f_{n-2}."""
-    if fan.dim < 2:
-        raise DimensionOutOfRange("the identity needs dimension at least 2")
-    fv = f_vector(fan)
-    total = sum(w.anticanonical_degree - 2 for w in wall_curves(fan))
-    return total == 12 * fv.face_count(fan.dim - 3) \
-        - 3 * (fan.dim - 1) * fv.face_count(fan.dim - 2)
-
-
-def lemma_degree_sum_check(fan: Fan) -> bool:
-    """Both the degree-sum identity and the inequality
-    12 f_{n-3} >= (3n + iota - 5) f_{n-2}."""
-    if not is_fano(fan):
-        raise NotFano("the inequality needs the pseudo-index")
-    iota = pseudo_index(fan)
-    fv = f_vector(fan)
-    inequality = 12 * fv.face_count(fan.dim - 3) >= \
-        (3 * fan.dim + iota - 5) * fv.face_count(fan.dim - 2)
-    return degree_sum_identity(fan) and inequality
 
 
 # ---------------------------------------------------------------------------

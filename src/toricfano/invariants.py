@@ -1,5 +1,5 @@
-"""Fano test, Picard number, pseudo-index, Mori cone generators, and the
-generalized Mukai inequality verdict.
+"""Fano test, Picard number, pseudo-index, Mori cone generators, the
+wall-degree sum checks, and the generalized Mukai inequality verdict.
 
 The pseudo-index is computed as the minimum anticanonical degree over the
 torus-invariant curves: every effective curve class of a smooth complete
@@ -15,12 +15,14 @@ from typing import Sequence
 
 from . import lattice
 from .errors import (
+    DimensionOutOfRange,
     InternalInconsistency,
     NonIntegralCoefficient,
     NotFano,
     UnpairedWall,
 )
 from .fan import Fan, wall_map
+from .fvector import f_vector
 from .primitive import PrimitiveRelation, all_relations, primitive_collections
 
 # ---------------------------------------------------------------------------
@@ -99,12 +101,19 @@ def pseudo_index(fan: Fan) -> int:
 # Mori cone generators by double description
 
 def _dual_extreme_rays(constraints: list[tuple[int, ...]],
-                       dim: int) -> list[tuple[int, ...]]:
+                       dim: int) -> list[tuple[tuple[int, ...], set[int]]]:
     """Extreme rays of { y : a . y >= 0 for all a } by incremental double
-    description with exact integer arithmetic.
+    description with exact integer arithmetic, each with its tight set: the
+    indices of the constraints that vanish on it. Sorted by ray.
 
     Assumes the constraints span Q^dim, so the result cone is pointed.
     Each returned ray carries no lineality and is primitive.
+
+    The tight sets are exact by induction. A line left after a pivot is
+    orthogonal to every earlier constraint, so projecting along the pivot
+    scales each earlier value by pa > 0. A new ray
+    values[i] * r_j - values[j] * r_i has positive weights, so it vanishes
+    exactly on common | {ci}.
     """
     def dot(a, b):
         return sum(x * y for x, y in zip(a, b))
@@ -165,44 +174,36 @@ def _dual_extreme_rays(constraints: list[tuple[int, ...]],
     if lines:
         raise InternalInconsistency("constraints do not span the space")
     order = sorted(range(len(rays)), key=lambda i: rays[i])
-    return [rays[i] for i in order]
+    return [(rays[i], tight[i]) for i in order]
 
 
 def _extremal_flags(vectors: list[tuple[int, ...]],
                     dim: int) -> list[bool]:
     """For each vector, whether it spans an extreme ray of the cone generated
-    by all of them. The vectors must span Q^dim."""
-    facet_normals = _dual_extreme_rays(vectors, dim)
-
-    def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
-
-    return [lattice.matrix_rank(
-        [f for f in facet_normals if dot(f, v) == 0]) == dim - 1
-        for v in vectors]
+    by all of them: whether the facet normals tight on it have rank
+    dim - 1. The vectors must span Q^dim."""
+    facets = _dual_extreme_rays(vectors, dim)
+    return [lattice.matrix_rank([f for f, t in facets if i in t]) == dim - 1
+            for i in range(len(vectors))]
 
 
 def mori_cone_extremal_classes(fan: Fan) -> list[tuple[int, ...]]:
     """Primitive integer generators of the extreme rays of the cone spanned
     by the wall classes, canonically ordered.
 
-    The classes are taken in coordinates of the saturated integer kernel
-    basis of the ray matrix, a basis of N_1 = Z^rho. Each class is primitive
-    (entry 1 at both opposite rays), so its coordinates are integral and
-    primitive; invariant curves generate N_1 of a complete toric variety,
-    so the coordinates span Q^rho and the double description runs in rank
-    rho directly.
+    Each class is read on the rho rays outside max_cones[0], and the double
+    description runs on those integer coordinates:
+    - a relation that vanishes on those rays is a relation among the
+      independent rays of max_cones[0], so it is zero;
+    - so the projection is injective on the rank-rho relation space, and
+      it maps extreme rays to extreme rays;
+    - invariant curves span N_1, so the projected classes span Q^rho.
     """
-    kernel = lattice.integer_kernel(list(zip(*fan.rays)))
+    first = set(fan.max_cones[0])
+    outside = [i for i in range(len(fan.rays)) if i not in first]
     classes = sorted({w.relation for w in wall_curves(fan)})
-    coords = []
-    for c in classes:
-        sol = lattice.solve_in_basis(kernel, c)
-        if any(x.denominator != 1 for x in sol):
-            raise NonIntegralCoefficient(
-                f"class {c} has kernel coordinates {sol}")
-        coords.append(tuple(int(x) for x in sol))
-    flags = _extremal_flags(coords, len(kernel))
+    coords = [tuple(c[i] for i in outside) for c in classes]
+    flags = _extremal_flags(coords, len(outside))
     return [c for c, f in zip(classes, flags) if f]
 
 
@@ -260,8 +261,6 @@ def fibration_in_P_iota(fan: Fan) -> bool:
     iota = pseudo_index(fan)
     by_relation = any(r.order == iota and not r.targets
                       for r in all_relations(fan))
-    # fvector imports this module, so the import waits for the call.
-    from .fvector import f_vector
     f_iota_minus_1 = f_vector(fan).face_count(iota - 1)
     by_counts = f_iota_minus_1 < comb(len(fan.rays), iota)
     if by_relation != by_counts:
@@ -302,6 +301,33 @@ def product_of_projective_spaces(fan: Fan) -> list[int] | None:
         if any(len(cone_set & set(c)) != len(c) - 1 for c in collections):
             return None
     return sorted(h - 1 for h in orders)
+
+
+# ---------------------------------------------------------------------------
+# degree-sum identity and inequality
+
+
+def degree_sum_identity(fan: Fan) -> bool:
+    """Whether the total of (degree - 2) over all walls equals
+    12 f_{n-3} - 3 (n-1) f_{n-2}."""
+    if fan.dim < 2:
+        raise DimensionOutOfRange("the identity needs dimension at least 2")
+    fv = f_vector(fan)
+    total = sum(w.anticanonical_degree - 2 for w in wall_curves(fan))
+    return total == 12 * fv.face_count(fan.dim - 3) \
+        - 3 * (fan.dim - 1) * fv.face_count(fan.dim - 2)
+
+
+def lemma_degree_sum_check(fan: Fan) -> bool:
+    """Both the degree-sum identity and the inequality
+    12 f_{n-3} >= (3n + iota - 5) f_{n-2}."""
+    if not is_fano(fan):
+        raise NotFano("the inequality needs the pseudo-index")
+    iota = pseudo_index(fan)
+    fv = f_vector(fan)
+    inequality = 12 * fv.face_count(fan.dim - 3) >= \
+        (3 * fan.dim + iota - 5) * fv.face_count(fan.dim - 2)
+    return degree_sum_identity(fan) and inequality
 
 
 # ---------------------------------------------------------------------------

@@ -49,19 +49,17 @@ def solve_in_basis(basis: Sequence[Sequence[int]],
                    target: Sequence[int]) -> RatVector:
     """Solve sum(c_i * basis_i) = target exactly over the rationals.
 
-    The basis must consist of k <= n independent vectors of length n =
-    len(target); the result holds the k coordinates of target in their
-    span. This is the package's one rational solver.
+    The basis must consist of n independent vectors of length n =
+    len(target); the result holds the n coordinates of target. This is the
+    package's one rational solver.
     """
     n = len(target)
-    k = len(basis)
-    if k > n or any(len(b) != n for b in basis):
-        raise SingularBasis("basis must consist of at most n vectors of "
-                            "length n")
+    if len(basis) != n or any(len(b) != n for b in basis):
+        raise SingularBasis("basis must consist of n vectors of length n")
     # Columns of the system matrix are the basis vectors.
-    aug = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(target[i])]
+    aug = [[Fraction(basis[j][i]) for j in range(n)] + [Fraction(target[i])]
            for i in range(n)]
-    for col in range(k):
+    for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
             raise SingularBasis("basis vectors are linearly dependent")
@@ -72,11 +70,7 @@ def solve_in_basis(basis: Sequence[Sequence[int]],
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    # Below the pivots every basis column is zero; a nonzero target entry
-    # there puts the target outside the span.
-    if any(aug[r][k] != 0 for r in range(k, n)):
-        raise SingularBasis("target lies outside the span of the basis")
-    return tuple(aug[r][k] for r in range(k))
+    return tuple(aug[r][n] for r in range(n))
 
 
 def adjugate(rows: Sequence[Sequence[int]]

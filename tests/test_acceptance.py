@@ -16,20 +16,20 @@ from toricfano.fvector import (
     _bound_margin,
     check_binomial_identities,
     corollary_bound_table,
-    degree_sum_identity,
     dehn_sommerville_fk,
     dehn_sommerville_tail,
     ds_tail_from_prefix,
     f_vector,
     is_simplex_criterion,
-    lemma_degree_sum_check,
     max_rho_bound,
     verify_closed_forms,
 )
 from toricfano.fan import invariant_subvariety_fan
 from toricfano.invariants import (
+    degree_sum_identity,
     fibration_in_P_iota,
     is_fano,
+    lemma_degree_sum_check,
     mori_cone_extremal_classes,
     mukai_check,
     picard_number,

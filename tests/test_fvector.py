@@ -24,7 +24,6 @@ from toricfano.fvector import (
     check_binomial_identities,
     closed_form_cross_check,
     corollary_bound_table,
-    degree_sum_identity,
     dehn_sommerville_fk,
     dehn_sommerville_tail,
     ds_tail_from_prefix,
@@ -33,12 +32,12 @@ from toricfano.fvector import (
     h_vector,
     is_palindromic,
     is_simplex_criterion,
-    lemma_degree_sum_check,
     max_rho_bound,
     psi_k,
     psi_k_eliminated,
     verify_closed_forms,
 )
+from toricfano.invariants import degree_sum_identity, lemma_degree_sum_check
 
 
 def _power_of_line(n):

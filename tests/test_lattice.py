@@ -153,18 +153,31 @@ def test_solve_in_basis():
     assert sol == (Fraction(1), Fraction(2))
     with pytest.raises(SingularBasis):
         solve_in_basis([(1, 0), (2, 0)], (0, 1))
-    with pytest.raises(SingularBasis):
-        solve_in_basis([(1, 0)], (0, 1))
-    # Fewer vectors than coordinates: exact coordinates inside the span,
-    # SingularBasis outside it.
+    # A basis that is not n vectors of length n is rejected, even when the
+    # target lies in its span.
     plane = [(2, 0, 1, 3), (0, 2, 1, -1)]
-    assert solve_in_basis(plane, (1, 1, 1, 1)) == \
-        (Fraction(1, 2), Fraction(1, 2))
-    assert solve_in_basis(plane, (4, -2, 1, 7)) == (Fraction(2), Fraction(-1))
-    with pytest.raises(SingularBasis):
-        solve_in_basis(plane, (1, 1, 1, 2))
-    with pytest.raises(SingularBasis):
-        solve_in_basis([(1, 2, 3), (2, 4, 6)], (1, 2, 3))
+    for basis, target in (([(1, 0)], (0, 1)), ([(1, 0)], (1, 0)),
+                          (plane, (1, 1, 1, 1)),
+                          ([(1, 0), (0, 1), (1, 1)], (1, 1)),
+                          ([(1, 0), (0,)], (1, 0))):
+        with pytest.raises(SingularBasis):
+            solve_in_basis(basis, target)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(basis=_square_matrices(), data=st.data())
+def test_solve_in_basis_matches_adjugate(basis, data):
+    # The coordinates c with c * B = t are t * adj(B) / det(B).
+    n = len(basis)
+    target = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    det, adj = adjugate(basis)
+    if det == 0:
+        with pytest.raises(SingularBasis):
+            solve_in_basis(basis, target)
+    else:
+        assert solve_in_basis(basis, target) == tuple(
+            Fraction(sum(t * row[j] for t, row in zip(target, adj)), det)
+            for j in range(n))
 
 
 def test_quotient_projection_basics():

@@ -1,0 +1,57 @@
+"""Module layering of the package: each module imports only the modules
+below it in LAYERS, and only at module top."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "toricfano"
+LAYERS = ("errors", "lattice", "fan", "primitive", "fvector", "invariants",
+          "io", "oracle", "cli")
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _package_imports(node: ast.AST) -> list[str]:
+    """The package modules an import statement names; [] for any other
+    statement or an import from outside the package."""
+    if isinstance(node, ast.Import):
+        paths = [a.name.split(".") for a in node.names]
+        return [p[1] for p in paths if p[0] == "toricfano" and len(p) > 1]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    path = (["toricfano"] if node.level else []) + \
+        (node.module.split(".") if node.module else [])
+    if path[:1] != ["toricfano"]:
+        return []
+    return path[1:2] or [a.name for a in node.names]
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def test_every_module_has_a_layer():
+    assert MODULES == sorted(LAYERS)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_imports_point_down_the_layers(module):
+    rank = LAYERS.index(module)
+    for node in ast.walk(_tree(module)):
+        for target in _package_imports(node):
+            assert LAYERS.index(target) < rank, \
+                f"{module} imports {target} (line {node.lineno})"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_package_import_inside_a_function(module):
+    for func in ast.walk(_tree(module)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            assert not _package_imports(node), \
+                f"{module}.{func.name} imports {_package_imports(node)} " \
+                f"(line {node.lineno})"
