@@ -4,7 +4,10 @@ solver.
 Two independent routes to the same numbers live here. The closed forms
 (dehn_sommerville_fk, dehn_sommerville_tail, psi_k) evaluate explicit
 binomial sums. The engine (ds_tail_from_prefix) knows nothing about those
-sums: it solves the h-vector palindromy equations directly. The closed forms
+sums: it solves the h-vector palindromy equations h_i = h_{n-i} directly.
+Their coefficients depend on n alone, so the system is factored once per
+dimension with lattice.adjugate, and each completion is one integer
+matrix-vector product over the determinant. The closed forms
 are validated against the engine, never trusted; disagreements surface as
 FormulaDiscrepancy records holding both values.
 """
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, factorial
 from typing import Callable, Sequence
 
@@ -74,11 +78,15 @@ def is_simplex_criterion(fv: FVector) -> bool:
 # the independent engine: h-vector palindromy
 
 
+def _h_coefficient(n: int, j: int, i: int) -> int:
+    """The coefficient of f_{i-1} in h_j of an n-dimensional complex."""
+    return (-1) ** (j - i) * comb(n - i, j - i)
+
+
 def h_vector(fv: FVector) -> tuple[int, ...]:
     n = fv.n
     return tuple(
-        sum((-1) ** (j - i) * comb(n - i, j - i) * fv.f[i]
-            for i in range(j + 1))
+        sum(_h_coefficient(n, j, i) * fv.f[i] for i in range(j + 1))
         for j in range(n + 1))
 
 
@@ -86,40 +94,50 @@ def is_palindromic(values: Sequence[int]) -> bool:
     return tuple(values) == tuple(reversed(values))
 
 
+@cache
+def _palindromy_completion(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(det A, adj(A) * R) for the palindromy system A * tail = R * prefix
+    of dimension n, so that tail = (adj(A) * R) * prefix / det A.
+
+    Row i (0 <= i < n - k) of the system is h_i - h_{n-i} = 0: A holds its
+    coefficients on the unknowns f_{k}..f_{n-1}, and R the negated
+    coefficients on the prefix f_{-1}..f_{k-1}. Both depend on n alone.
+    Row i meets the unknowns only through h_{n-i}, whose last term is
+    f_{n-i-1} with coefficient 1, so A is triangular with det A = +-1.
+    """
+    k = n // 2
+
+    def h_row(j: int) -> list[int]:
+        return [_h_coefficient(n, j, c) if c <= j else 0
+                for c in range(n + 1)]
+
+    system = [[x - y for x, y in zip(h_row(i), h_row(n - i))]
+              for i in range(n - k)]
+    det, adj = lattice.adjugate([row[k + 1:] for row in system])
+    completion = tuple(
+        tuple(-sum(a * row[c] for a, row in zip(adj_row, system))
+              for c in range(k + 1))
+        for adj_row in adj)
+    return det, completion
+
+
 def ds_tail_from_prefix(n: int, prefix: Sequence[int]) -> tuple[Fraction, ...]:
     """Complete f_{-1}..f_{k-1} (k = [n/2]) to a full count vector using only
     the palindromy equations h_i = h_{n-i}.
 
-    Returns the n+1 values f_{-1}..f_{n-1} as exact fractions.
+    Returns the n+1 values f_{-1}..f_{n-1} as exact fractions. The system is
+    factored once per dimension (_palindromy_completion); each call is one
+    integer matrix-vector product over its determinant.
     """
     if n < 1:
         raise DimensionOutOfRange("n must be at least 1")
     k = n // 2
     if len(prefix) != k + 1:
         raise ValueError(f"prefix must hold the {k + 1} counts f_-1..f_{k - 1}")
-    unknowns = n - k
-
-    def h_parts(j: int) -> tuple[int, list[int]]:
-        const = 0
-        coeffs = [0] * unknowns
-        for i in range(j + 1):
-            c = (-1) ** (j - i) * comb(n - i, j - i)
-            if i <= k:
-                const += c * prefix[i]
-            else:
-                coeffs[i - k - 1] += c
-        return const, coeffs
-
-    # Row i of the system is h_i - h_{n-i} = 0, unknowns moved left.
-    rows = []
-    rhs = []
-    for i in range(unknowns):
-        c1, a1 = h_parts(i)
-        c2, a2 = h_parts(n - i)
-        rows.append([x - y for x, y in zip(a1, a2)])
-        rhs.append(c2 - c1)
-    tail = lattice.solve_in_basis(list(zip(*rows)), rhs)
-    return tuple(Fraction(x) for x in prefix) + tuple(tail)
+    det, completion = _palindromy_completion(n)
+    tail = tuple(Fraction(sum(m * x for m, x in zip(row, prefix)), det)
+                 for row in completion)
+    return tuple(Fraction(x) for x in prefix) + tail
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,14 @@ which.
 The `.fan` grammar: a header line `FAN <n> <m> <c>`, then m ray lines of n
 integers each, then c cone lines of n ray indices each. The `.poly` grammar:
 `POLY <n> <m>` followed by m vertex lines. Blank lines and `#` comments are
-ignored everywhere; negative numbers use the ASCII hyphen-minus.
+ignored everywhere. Integers are ASCII decimal digits with an optional
+`+` or `-` sign; any other token is a syntax error.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from typing import Sequence
 
 from . import lattice
@@ -41,12 +43,19 @@ def _significant_lines(text: str) -> list[tuple[int, list[str]]]:
     return out
 
 
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_int(token: str, line: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise FanSyntaxError(line, f"expected an integer for {what}, "
-                                   f"got {token!r}") from None
+    """An ASCII integer token; int() alone would also take `1_0` and
+    non-ASCII digits."""
+    if _INTEGER.fullmatch(token):
+        try:
+            return int(token)
+        except ValueError:  # past int()'s limit on the number of digits
+            pass
+    raise FanSyntaxError(line, f"expected an integer for {what}, "
+                               f"got {token!r}")
 
 
 def _parse_header(lines: list[tuple[int, list[str]]], tag: str,

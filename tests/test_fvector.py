@@ -6,6 +6,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricfano.errors import (
     DimensionOutOfRange,
@@ -112,9 +114,25 @@ def test_engine_completes_simplex_and_cross_counts():
             tuple(Fraction(x) for x in counts)
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_engine_completes_any_prefix_palindromically(data):
+    # Palindromy fixes the tail uniquely, so this checks the engine without
+    # the closed forms.
+    n = data.draw(st.integers(1, 15))
+    prefix = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                min_size=n // 2 + 1, max_size=n // 2 + 1))
+    completed = ds_tail_from_prefix(n, prefix)
+    assert len(completed) == n + 1
+    assert completed[:len(prefix)] == tuple(prefix)
+    assert is_palindromic(h_vector(FVector(n, completed)))
+
+
 def test_engine_rejects_wrong_prefix_length():
     with pytest.raises(ValueError):
         ds_tail_from_prefix(6, (1, 7, 21))
+    with pytest.raises(DimensionOutOfRange):
+        ds_tail_from_prefix(0, (1,))
 
 
 def test_closed_fk_at_simplex_inputs():
@@ -143,8 +161,10 @@ def test_closed_tail_at_cross_polytope_inputs_low_dim():
 
 
 def test_closed_forms_match_engine_everywhere():
+    # The whole f_0 window the bounds-tables benchmark draws from.
     for n in range(4, 14):
-        verify_closed_forms(n)
+        assert closed_form_cross_check(
+            n, f0_values=range(n + 1, n + 61)) == []
 
 
 def test_injected_broken_formula_is_caught():

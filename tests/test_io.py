@@ -87,6 +87,19 @@ def test_trailing_content_rejected():
     assert "trailing" in err.value.reason
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0661"])
+def test_only_ascii_integers_are_read(token, tmp_path, capsys):
+    # int() reads `1_0` as 10 and the Arabic-Indic digit one as 1.
+    text = PLANE.replace("1 0\n", f"{token} 0\n", 1)
+    with pytest.raises(FanSyntaxError) as err:
+        parse_fan_unchecked(text)
+    assert err.value.line == 3 and repr(token) in err.value.reason
+    path = tmp_path / "token.fan"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_parse_fan_validates():
     text = "FAN 2 3 3\n2 0\n0 1\n-1 -1\n0 1\n1 2\n0 2\n"
     with pytest.raises(ValidationError) as err:
