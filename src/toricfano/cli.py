@@ -31,7 +31,8 @@ from .invariants import (
     pseudo_index,
     wall_curves,
 )
-from .io import parse_fan_unchecked, parse_polytope_unchecked, render_report
+from .io import (_ascii_int, parse_fan_unchecked, parse_polytope_unchecked,
+                 render_report)
 from .primitive import all_relations
 
 EXIT_OK = 0
@@ -264,14 +265,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", parents=[common],
                        help="print the face-count and inequality bounds for "
                             "a supported (n, iota) cell")
-    p.add_argument("n", type=int)
-    p.add_argument("iota", type=int)
+    p.add_argument("n", type=_ascii_int)
+    p.add_argument("iota", type=_ascii_int)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("batch", parents=[common],
                        help="verify every .fan/.poly file in a directory")
     p.add_argument("directory")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_ascii_int, default=1,
                    help="parallel worker processes (at least 1; capped at "
                         "the number of files and of CPUs)")
     p.add_argument("--report", default=None,

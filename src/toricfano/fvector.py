@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import lattice
 from .errors import (
@@ -277,16 +277,12 @@ _FK_OFFSETS = range(-2, 7)
 
 
 def closed_form_cross_check(
-        n: int,
-        f0_values: Sequence[int] | None = None,
-        fk_form: Callable[[int, int], Fraction] = _fk_closed,
-) -> list[Discrepancy]:
+        n: int, f0_values: Sequence[int] | None = None) -> list[Discrepancy]:
     """Compare the closed forms against the palindromy engine.
 
     The engine is fed the same hypothesis inputs (binomial prefix, free
     f_{k-1} = C(f_0, k) + offset for each offset in _FK_OFFSETS); both
-    routes must produce identical values. An alternative f_k formula can be
-    injected to demonstrate that a transcription slip would be caught.
+    routes must produce identical values.
     """
     if n < 4:
         raise DimensionOutOfRange("n must be at least 4")
@@ -297,10 +293,9 @@ def closed_form_cross_check(
     for f0 in f0_values:
         prefix = [comb(f0, j) for j in range(k + 1)]
         full = ds_tail_from_prefix(n, prefix)
-        closed = fk_form(f0, n)
+        closed = _fk_closed(f0, n)
         if closed != full[k + 1]:
-            out.append(Discrepancy("fk", (f0,), Fraction(closed),
-                                   full[k + 1]))
+            out.append(Discrepancy("fk", (f0,), closed, full[k + 1]))
         for off in _FK_OFFSETS:
             s = comb(f0, k) + off
             full2 = ds_tail_from_prefix(n, prefix[:k] + [s])
@@ -315,10 +310,10 @@ def closed_form_cross_check(
     return out
 
 
-def verify_closed_forms(n: int, **kwargs) -> None:
+def verify_closed_forms(n: int) -> None:
     """Raise FormulaDiscrepancy when any closed form disagrees with the
     engine."""
-    records = closed_form_cross_check(n, **kwargs)
+    records = closed_form_cross_check(n)
     if records:
         raise FormulaDiscrepancy(records)
 
@@ -330,18 +325,16 @@ REGIME_HALF = ((4, 2), (5, 2), (6, 3), (7, 3))
 REGIME_HALF_MINUS_ONE = ((6, 2), (7, 2), (8, 3), (9, 3), (10, 4), (11, 4),
                          (12, 5), (13, 5))
 
-_POST_VIOLATION_WINDOW = 5
-_SCAN_LIMIT = 64
-
 
 def _bound_margin(n: int, iota: int, rho: int) -> Fraction:
-    """Left-hand side minus right-hand side of the regime inequality; the
-    bound admits rho exactly when this is <= 0."""
+    """Left-hand side minus right-hand side of the regime inequality, <= 0
+    exactly when the bound admits rho: with f_0 = n + rho, a polynomial in
+    rho of degree d = k + 1 if iota = k = [n/2] (from C(f_0, k + 1)), else
+    d = k (from C(f_0, k))."""
     k = n // 2
     f0 = n + rho
     if iota == k:
-        return comb(f0, k + 1) - Fraction(_fk_closed(f0, n)) \
-            - Fraction(f0, k + 1)
+        return comb(f0, k + 1) - _fk_closed(f0, n) - Fraction(f0, k + 1)
     return comb(f0, k) - Fraction(f0, k) - psi_k(f0, n)
 
 
@@ -349,28 +342,29 @@ def max_rho_bound(n: int, iota: int) -> int:
     """Largest rho with f_0 = rho + n satisfying the regime inequality.
 
     Supported regimes: iota = [n/2] for 4 <= n <= 7 and iota = [n/2] - 1 for
-    6 <= n <= 13. The scan runs upward to the first violation and then
-    asserts the violation persists over a short window.
+    6 <= n <= 13. The scan stops at the first violation, best + 1, where
+    the margin's forward differences D^j prove the bound exact: Newton's
+    margin(best + 1 + t) = sum_j D^j C(t, j) holds for integers t >= 0, so
+    D^0 > 0, all D^j >= 0 and D^(d+1) == 0 (a check on d) make it positive
+    for every rho > best. Otherwise raises InternalInconsistency.
     """
     if (n, iota) not in REGIME_HALF + REGIME_HALF_MINUS_ONE:
         raise RegimeUnsupported(f"(n={n}, iota={iota}) is outside the "
                                 "supported regimes")
     best = 0
-    rho = 1
-    while rho <= _SCAN_LIMIT:
-        if _bound_margin(n, iota, rho) <= 0:
-            best = rho
-            rho += 1
-        else:
-            break
-    else:
-        raise InternalInconsistency("inequality never violated in the scan")
-    for extra in range(1, _POST_VIOLATION_WINDOW + 1):
-        if _bound_margin(n, iota, rho + extra) <= 0:
-            raise InternalInconsistency(
-                f"violation at rho={rho} does not persist at "
-                f"rho={rho + extra}")
-    return best
+    while (violation := _bound_margin(n, iota, best + 1)) <= 0:
+        best += 1
+    d = n // 2 + 1 if iota == n // 2 else n // 2
+    row = [violation] + [_bound_margin(n, iota, rho)
+                         for rho in range(best + 2, best + d + 3)]
+    differences = []
+    while row:
+        differences.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    if differences[0] > 0 and min(differences) >= 0 and differences[-1] == 0:
+        return best
+    raise InternalInconsistency(
+        f"no forward-difference certificate past rho={best}: {differences}")
 
 
 def corollary_bound_table() -> dict[tuple[int, int], int]:

@@ -13,14 +13,16 @@ which.
 The `.fan` grammar: a header line `FAN <n> <m> <c>`, then m ray lines of n
 integers each, then c cone lines of n ray indices each. The `.poly` grammar:
 `POLY <n> <m>` followed by m vertex lines. Blank lines and `#` comments are
-ignored everywhere. Integers are ASCII decimal digits with an optional
-`+` or `-` sign; any other token is a syntax error.
+ignored everywhere. Integers are ASCII `[+-]?[0-9]+`, within int()'s digit
+limit; any other token is a syntax error.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import reprlib
+import sys
 from typing import Sequence
 
 from . import lattice
@@ -46,16 +48,24 @@ def _significant_lines(text: str) -> list[tuple[int, list[str]]]:
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
+def _ascii_int(token: str) -> int:
+    """An ASCII integer token, also for the command line; int() alone would
+    take `1_0` and non-ASCII digits. The ValueError echoes a shortened
+    token, or names int()'s digit limit when only that is broken."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"expected an integer, got {reprlib.repr(token)}")
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"integer has {len(token.lstrip('+-'))} digits, "
+                         f"above the limit of {sys.get_int_max_str_digits()}")
+
+
 def _parse_int(token: str, line: int, what: str) -> int:
-    """An ASCII integer token; int() alone would also take `1_0` and
-    non-ASCII digits."""
-    if _INTEGER.fullmatch(token):
-        try:
-            return int(token)
-        except ValueError:  # past int()'s limit on the number of digits
-            pass
-    raise FanSyntaxError(line, f"expected an integer for {what}, "
-                               f"got {token!r}")
+    try:
+        return _ascii_int(token)
+    except ValueError as err:
+        raise FanSyntaxError(line, f"{err} ({what})") from None
 
 
 def _parse_header(lines: list[tuple[int, list[str]]], tag: str,
@@ -263,13 +273,6 @@ def parse_polytope_unchecked(text: str) -> Fan:
         raise OriginNotInterior(
             f"{m} vertices cannot enclose the origin in dimension {n}")
     return make_fan(n, vertices, _facet_walk(vertices, n))
-
-
-def parse_polytope_as_face_fan(text: str) -> Fan:
-    """Parse the `.poly` grammar and return the validated face fan of the
-    convex hull of the vertices; raises ValidationError naming any failed
-    check."""
-    return require_valid(parse_polytope_unchecked(text))
 
 
 # ---------------------------------------------------------------------------

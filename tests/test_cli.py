@@ -121,6 +121,17 @@ def test_bounds_unsupported_regime(capsys):
     assert "regime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n, iota", [("1_3", "\u0665"), ("1_3", "5"),
+                                     ("13", "\u0665")])
+def test_bounds_reads_only_ascii_integers(n, iota, capsys):
+    # int() reads `1_3` as 13 and the Arabic-Indic digit five as 5.
+    with pytest.raises(SystemExit) as exit_:
+        main(["bounds", n, iota])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid" in err
+
+
 def test_structured_format_alias(plane_file, capsys):
     assert main(["invariants", plane_file, "--format", "json"]) == 0
     first = capsys.readouterr().out
@@ -223,6 +234,15 @@ def test_batch_rejects_fewer_than_one_worker(workers, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_batch_reads_only_ascii_workers(tmp_path, capsys):
+    (tmp_path / "plane.fan").write_text(PLANE)
+    with pytest.raises(SystemExit) as exit_:
+        main(["batch", str(tmp_path), "--workers", "\u0662"])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--workers" in err
 
 
 class _SerialPool:

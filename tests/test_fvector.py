@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricfano import fvector
 from toricfano.errors import (
     DimensionOutOfRange,
     FormulaDiscrepancy,
+    InternalInconsistency,
     NotFano,
     RegimeUnsupported,
 )
@@ -22,6 +24,8 @@ from toricfano.fan import (
     star_subdivision,
 )
 from toricfano.fvector import (
+    REGIME_HALF,
+    REGIME_HALF_MINUS_ONE,
     FVector,
     check_binomial_identities,
     closed_form_cross_check,
@@ -167,17 +171,16 @@ def test_closed_forms_match_engine_everywhere():
             n, f0_values=range(n + 1, n + 61)) == []
 
 
-def test_injected_broken_formula_is_caught():
-    def broken(f0, n):
-        from toricfano.fvector import _fk_closed
-        return _fk_closed(f0, n) + 1
-
-    records = closed_form_cross_check(8, fk_form=broken)
+def test_injected_broken_formula_is_caught(monkeypatch):
+    correct = fvector._fk_closed
+    monkeypatch.setattr(fvector, "_fk_closed",
+                        lambda f0, n: correct(f0, n) + 1)
+    records = closed_form_cross_check(8)
     assert records
     rec = records[0]
     assert rec.closed_value == rec.engine_value + 1
     with pytest.raises(FormulaDiscrepancy) as excinfo:
-        verify_closed_forms(8, fk_form=broken)
+        verify_closed_forms(8)
     assert excinfo.value.records
 
 
@@ -220,6 +223,29 @@ def test_max_rho_bound_tables():
                   (10, 4): 2, (11, 4): 3, (12, 5): 2, (13, 5): 2}
     for (n, iota), expected in {**half, **half_minus}.items():
         assert max_rho_bound(n, iota) == expected
+
+
+def test_margin_stays_positive_past_every_bound():
+    # Sampled independently of the forward-difference certificate.
+    for n, iota in REGIME_HALF + REGIME_HALF_MINUS_ONE:
+        best = max_rho_bound(n, iota)
+        assert all(fvector._bound_margin(n, iota, rho) > 0
+                   for rho in range(best + 1, best + 101))
+
+
+def test_margin_dip_past_the_first_violation_is_caught(monkeypatch):
+    # A cubic (d = 3 on cell (4, 2)) that is <= 0 up to rho = 2, positive
+    # from 3 to 9 and negative again at 10: its second forward difference
+    # at rho = 3 is negative, so no certificate exists.
+    def dipping(n, iota, rho):
+        return ((rho - Fraction(5, 2)) * (rho - Fraction(19, 2))
+                * (rho - Fraction(21, 2)))
+
+    monkeypatch.setattr(fvector, "_bound_margin", dipping)
+    assert [dipping(4, 2, rho) > 0 for rho in range(1, 11)] == \
+        [False, False] + [True] * 7 + [False]
+    with pytest.raises(InternalInconsistency):
+        max_rho_bound(4, 2)
 
 
 def test_max_rho_bound_rejects_other_regimes():

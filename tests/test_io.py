@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from toricfano.fan import (
     construct_product,
     construct_projective_space,
     make_fan,
+    require_valid,
     validate,
 )
 from toricfano.fvector import f_vector
@@ -27,7 +29,6 @@ from toricfano.io import (
     _facet_walk,
     parse_fan,
     parse_fan_unchecked,
-    parse_polytope_as_face_fan,
     parse_polytope_unchecked,
     render_report,
     serialize_fan,
@@ -100,6 +101,23 @@ def test_only_ascii_integers_are_read(token, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_overlong_integer_names_the_digit_limit(tmp_path, capsys):
+    digits = "9" * 100_000
+    path = tmp_path / "huge.fan"
+    path.write_text(PLANE.replace("1 0\n", f"{digits} 0\n", 1))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 200
+    assert "100000 digits" in err and str(sys.get_int_max_str_digits()) in err
+
+
+def test_rejected_token_is_echoed_shortened():
+    token = "x" * 100_000
+    with pytest.raises(FanSyntaxError) as err:
+        parse_fan_unchecked(PLANE.replace("1 0\n", f"{token} 0\n", 1))
+    assert len(err.value.reason) < 100
+
+
 def test_parse_fan_validates():
     text = "FAN 2 3 3\n2 0\n0 1\n-1 -1\n0 1\n1 2\n0 2\n"
     with pytest.raises(ValidationError) as err:
@@ -109,16 +127,18 @@ def test_parse_fan_validates():
 
 
 def test_polytope_triangle_and_square():
-    triangle = parse_polytope_as_face_fan("POLY 2 3\n1 0\n0 1\n-1 -1\n")
+    triangle = require_valid(
+        parse_polytope_unchecked("POLY 2 3\n1 0\n0 1\n-1 -1\n"))
     assert triangle == construct_projective_space(2)
-    square = parse_polytope_as_face_fan("POLY 2 4\n1 0\n0 1\n-1 0\n0 -1\n")
+    square = require_valid(
+        parse_polytope_unchecked("POLY 2 4\n1 0\n0 1\n-1 0\n0 -1\n"))
     p1 = construct_projective_space(1)
     assert square == construct_product(p1, p1)
 
 
 def test_polytope_octahedron():
     text = "POLY 3 6\n1 0 0\n0 1 0\n0 0 1\n-1 0 0\n0 -1 0\n0 0 -1\n"
-    fan = parse_polytope_as_face_fan(text)
+    fan = require_valid(parse_polytope_unchecked(text))
     p1 = construct_projective_space(1)
     assert fan == construct_product(construct_product(p1, p1), p1)
 
@@ -126,10 +146,10 @@ def test_polytope_octahedron():
 def test_polytope_origin_must_be_interior():
     shifted = "POLY 2 4\n0 0\n1 0\n1 1\n0 1\n"
     with pytest.raises(OriginNotInterior):
-        parse_polytope_as_face_fan(shifted)
+        require_valid(parse_polytope_unchecked(shifted))
     flat = "POLY 2 3\n1 0\n2 0\n3 0\n"
     with pytest.raises(OriginNotInterior):
-        parse_polytope_as_face_fan(flat)
+        require_valid(parse_polytope_unchecked(flat))
 
 
 def test_polytope_rejects_non_simplicial_facets():
@@ -137,7 +157,7 @@ def test_polytope_rejects_non_simplicial_facets():
         f"{x} {y} {z}" for x in (1, -1) for y in (1, -1)
         for z in (1, -1)) + "\n"
     with pytest.raises(NonSimplicialFacet):
-        parse_polytope_as_face_fan(cube)
+        require_valid(parse_polytope_unchecked(cube))
 
 
 def _poly_text(vertices) -> str:
@@ -224,7 +244,7 @@ def test_single_fault_polytopes(vertices, error):
 
 
 def test_segment_is_p1():
-    assert parse_polytope_as_face_fan("POLY 1 2\n1\n-1\n") == P1
+    assert require_valid(parse_polytope_unchecked("POLY 1 2\n1\n-1\n")) == P1
 
 
 def test_interior_vertex_fails_ray_coverage(tmp_path, capsys):
@@ -255,12 +275,12 @@ def test_face_fan_under_relabelling_and_gl_n_z(transformed, data):
     name = data.draw(st.sampled_from(
         ("poly_square", "poly_hexagon", "poly_octahedron")))
     text = (corpus_directory() / f"{name}.poly").read_text(encoding="utf-8")
-    fan = parse_polytope_as_face_fan(text)
+    fan = require_valid(parse_polytope_unchecked(text))
     # The rays of a face fan are the vertices, so moving the fan moves them.
     vertices = data.draw(st.permutations(transformed(fan, data).rays))
-    moved = parse_polytope_as_face_fan(
+    moved = require_valid(parse_polytope_unchecked(
         f"POLY {fan.dim} {len(vertices)}\n"
-        + "".join(" ".join(map(str, v)) + "\n" for v in vertices))
+        + "".join(" ".join(map(str, v)) + "\n" for v in vertices)))
     assert f_vector(moved) == f_vector(fan)
     assert mukai_check(moved).equality_case == mukai_check(fan).equality_case
 
