@@ -233,6 +233,16 @@ def cmd_batch(args) -> int:
     return EXIT_CHECK_FAILED if summary["check_failures"] else EXIT_OK
 
 
+def _int_argument(token: str) -> int:
+    """_ascii_int for argparse, which prints the message of an
+    ArgumentTypeError as it is but echoes the whole token on a
+    ValueError."""
+    try:
+        return _ascii_int(token)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"invalid integer: {err}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", default="text",
@@ -265,14 +275,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", parents=[common],
                        help="print the face-count and inequality bounds for "
                             "a supported (n, iota) cell")
-    p.add_argument("n", type=_ascii_int)
-    p.add_argument("iota", type=_ascii_int)
+    p.add_argument("n", type=_int_argument)
+    p.add_argument("iota", type=_int_argument)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("batch", parents=[common],
                        help="verify every .fan/.poly file in a directory")
     p.add_argument("directory")
-    p.add_argument("--workers", type=_ascii_int, default=1,
+    p.add_argument("--workers", type=_int_argument, default=1,
                    help="parallel worker processes (at least 1; capped at "
                         "the number of files and of CPUs)")
     p.add_argument("--report", default=None,

@@ -396,23 +396,25 @@ def invariant_subvariety_fan(fan: Fan, sigma: Sequence[int]) -> QuotientFan:
     k = len(sigma)
     if k >= fan.dim:
         raise DimensionOutOfRange("quotient rank would be zero")
-    # The rows of the integer kernel map N onto N(sigma), the quotient of N
-    # by the lattice points in the real span of sigma.
-    q = lattice.integer_kernel([fan.rays[i] for i in sigma])
-    if len(q) != fan.dim - k:
-        raise DependentSpan("span vectors are linearly dependent")
     sigma_set = set(sigma)
+    # The coordinates at the positions outside sigma, in the basis of a
+    # maximal cone containing sigma, map N onto N(sigma), the quotient of N
+    # by the lattice points in the real span of sigma, when that cone is
+    # unimodular, as on a valid fan. The adjugate gives them times det,
+    # which is +-1 there.
+    cone = next(c for c in fan.max_cones if sigma_set.issubset(c))
+    if fan.cached(_cone_adjugates)[cone][0] == 0:
+        raise DependentSpan(f"the rays of cone {cone} are linearly dependent")
+    outside = [p for p, i in enumerate(cone) if i not in sigma_set]
     star_rays: list[int] = []
     projected: dict[int, IntVector] = {}
     for u in range(len(fan.rays)):
         if u in sigma_set:
             continue
         if is_cone(fan, sigma + (u,)):
-            image = [sum(a * b for a, b in zip(row, fan.rays[u]))
-                     for row in q]
-            # Projections of smooth-cone rays are already primitive; the
-            # normalization is defensive.
-            projected[u] = lattice.make_primitive(image)
+            nums, _ = _cone_coordinates(fan, cone, fan.rays[u])
+            # On a valid fan the image is already primitive.
+            projected[u] = lattice.make_primitive([nums[p] for p in outside])
             star_rays.append(u)
     order = sorted(star_rays, key=lambda u: projected[u])
     new_rays = [projected[u] for u in order]

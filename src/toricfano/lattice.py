@@ -73,108 +73,97 @@ def solve_in_basis(basis: Sequence[Sequence[int]],
     return tuple(aug[r][n] for r in range(n))
 
 
-def adjugate(rows: Sequence[Sequence[int]]
-             ) -> tuple[int, list[list[int]] | None]:
-    """(det A, adj A) of a square integer matrix A given by its rows, with
-    A * adj == det * I; adj is None when det is 0.
+def _bareiss(rows: Sequence[Sequence[int]]
+             ) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer
+    matrix, behind adjugate, matrix_rank and integer_kernel.
 
-    Fraction-free (Bareiss) Gauss-Jordan on [A | I]: after step k every
-    entry is a minor of order k + 1 of the row-swapped [A | I], so each
-    division is exact. At the end the left block is d * I, with d the
-    determinant of the row-swapped A, and the right block M satisfies
-    M * A = d * I. So M = d * A^-1, and adj A = sign * M, where sign is
-    the parity of the row swaps and det A = sign * d.
+    Returns (reduced rows, pivot columns, sign, d). A column with no
+    nonzero entry at or below the next pivot row is skipped. After each
+    pivot every entry is a minor of the row-swapped matrix, so each
+    division is exact. At the end each pivot column is zero except in its
+    own row, where it holds d, the last pivot (1 when there is none);
+    the rows past the rank are zero; and sign is the parity of the row
+    swaps.
     """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise NotSquare(f"matrix with {n} rows is not square")
-    a = [list(r) + [int(i == j) for j in range(n)]
-         for i, r in enumerate(rows)]
+    a = [list(r) for r in rows]
+    ncols = len(a[0]) if a else 0
+    pivots: list[int] = []
     sign = 1
     prev = 1
-    for k in range(n):
-        if a[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+    for col in range(ncols):
+        k = len(pivots)
+        if k == len(a):
+            break
+        if a[k][col] == 0:
+            piv = next((r for r in range(k + 1, len(a)) if a[r][col] != 0),
+                       None)
             if piv is None:
-                return 0, None
+                continue
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
         pivot_row = a[k]
-        pivot = pivot_row[k]
-        for i in range(n):
+        pivot = pivot_row[col]
+        for i in range(len(a)):
             if i == k:
                 continue
             row = a[i]
-            f = row[k]
+            f = row[col]
             if f:
                 a[i] = [(x * pivot - f * y) // prev
                         for x, y in zip(row, pivot_row)]
             elif pivot != prev:
                 a[i] = [x * pivot // prev for x in row]
         prev = pivot
-    return sign * prev, [[sign * x for x in row[n:]] for row in a]
+        pivots.append(col)
+    return a, pivots, sign, prev
 
 
-def _row_hermite(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]],
-                                                         list[list[int]],
-                                                         int]:
-    """Row Hermite form of an integer matrix.
+def adjugate(rows: Sequence[Sequence[int]]
+             ) -> tuple[int, list[list[int]] | None]:
+    """(det A, adj A) of a square integer matrix A given by its rows, with
+    A * adj == det * I; adj is None when det is 0.
 
-    Returns (H, U, rank) with U unimodular, U * A = H, pivots positive and
-    entries above each pivot reduced into [0, pivot).
+    Eliminates [A | I]. A is invertible exactly when the pivots are the
+    columns of A; the left block is then d * I, with d the determinant of
+    the row-swapped A, and the right block M satisfies M * A = d * I. So
+    M = d * A^-1, and adj A = sign * M, where sign is the parity of the
+    row swaps and det A = sign * d.
     """
-    a = [list(r) for r in rows]
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-
-    def sub(i: int, k: int, q: int):
-        if q:
-            a[i] = [x - q * y for x, y in zip(a[i], a[k])]
-            u[i] = [x - q * y for x, y in zip(u[i], u[k])]
-
-    rank = 0
-    for col in range(ncols):
-        while True:
-            nz = [i for i in range(rank, nrows) if a[i][col] != 0]
-            if len(nz) <= 1:
-                break
-            k = min(nz, key=lambda i: abs(a[i][col]))
-            for i in nz:
-                if i != k:
-                    sub(i, k, a[i][col] // a[k][col])
-        nz = [i for i in range(rank, nrows) if a[i][col] != 0]
-        if not nz:
-            continue
-        k = nz[0]
-        a[rank], a[k] = a[k], a[rank]
-        u[rank], u[k] = u[k], u[rank]
-        if a[rank][col] < 0:
-            a[rank] = [-x for x in a[rank]]
-            u[rank] = [-x for x in u[rank]]
-        for i in range(rank):
-            sub(i, rank, a[i][col] // a[rank][col])
-        rank += 1
-    return a, u, rank
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise NotSquare(f"matrix with {n} rows is not square")
+    a, pivots, sign, d = _bareiss(
+        [list(r) + [int(i == j) for j in range(n)]
+         for i, r in enumerate(rows)])
+    if pivots != list(range(n)):
+        return 0, None
+    return sign * d, [[sign * x for x in row[n:]] for row in a]
 
 
 def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    _, _, rank = _row_hermite(rows)
-    return rank
+    return len(_bareiss(rows)[1])
 
 
 def integer_kernel(rows: Sequence[Sequence[int]]) -> list[IntVector]:
-    """A canonical lattice basis of { v in Z^cols : rows * v = 0 }.
+    """A basis of the rational kernel { v : rows * v = 0 }, made of integer
+    vectors: one primitive vector per non-pivot column j of the
+    elimination, in column order.
 
-    The returned vectors span the full (saturated) kernel lattice; the basis
-    is put in Hermite form so the output is deterministic.
+    Row i of the reduced matrix reads d * v[p_i] + sum_j a[i][j] * v[j]
+    = 0 over the non-pivot columns j, so v[j] = d, v[p_i] = -a[i][j] and
+    zero elsewhere solves it. The vectors need not span the kernel
+    lattice: their span may have finite index in it.
     """
-    # Row-reduce the transpose while tracking the transform: zero rows of H
-    # correspond to transform rows annihilating every row of the matrix.
-    h, u, rank = _row_hermite(list(zip(*rows)))
-    basis = [u[i] for i in range(len(h)) if all(x == 0 for x in h[i])]
-    assert len(basis) == len(h) - rank
-    if not basis:
-        return []
-    canon, _, _ = _row_hermite(basis)
-    return [tuple(r) for r in canon]
+    a, pivots, _, d = _bareiss(rows)
+    ncols = len(a[0]) if a else 0
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [0] * ncols
+        v[j] = d
+        for row, p in zip(a, pivots):
+            v[p] = -row[j]
+        basis.append(make_primitive(v))
+    return basis

@@ -251,12 +251,6 @@ class Corpus:
     def names(self) -> list[str]:
         return [e.name for e in self.entries]
 
-    def get(self, name: str) -> CorpusEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
 
 def _fingerprint(fan: Fan) -> dict:
     fano = is_fano(fan)

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricfano.cli
 from toricfano.cli import main
@@ -130,6 +136,16 @@ def test_bounds_reads_only_ascii_integers(n, iota, capsys):
     assert exit_.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "invalid" in err
+
+
+@pytest.mark.parametrize("argv", [["bounds", "x" * 100_000, "5"],
+                                  ["batch", ".", "--workers", "x" * 100_000]])
+def test_rejected_integer_argument_is_echoed_shortened(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid" in err and len(err.encode()) < 300
 
 
 def test_structured_format_alias(plane_file, capsys):
@@ -298,3 +314,54 @@ def test_failing_poly_route(tmp_path, capsys):
     entry, = json.loads(capsys.readouterr().out)["entries"]
     assert entry["status"] == "check_failed"
     assert entry["detail"] == "validation failed: smoothness, covering_degree"
+
+
+# Small corpus files, so that each mutated file goes through four commands
+# quickly.
+_FUZZ_SOURCES = sorted(p for p in corpus_directory().iterdir()
+                       if p.suffix in (".fan", ".poly")
+                       and p.stat().st_size <= 140)
+_TOKENS = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from(("", "x", "1_0", "\u0665", "1.5", "-0", "9" * 30, "FAN",
+                     "POLY")),
+    st.text(max_size=3))
+
+
+@st.composite
+def _mutated_corpus_files(draw):
+    """(suffix, text): a small corpus file after one to three mutations,
+    each replacing one token, or deleting, duplicating or swapping lines."""
+    path = draw(st.sampled_from(_FUZZ_SOURCES))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("token", "delete", "duplicate", "swap")))
+        if op == "token":
+            tokens = lines[i].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_TOKENS)
+            lines[i] = " ".join(tokens)
+        elif op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    return path.suffix, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutated=_mutated_corpus_files())
+def test_mutated_corpus_files_keep_the_exit_code_promise(mutated):
+    suffix, text = mutated
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root, "mutated" + suffix)
+        path.write_text(text, encoding="utf-8")
+        for argv in (["validate", str(path)], ["invariants", str(path)],
+                     ["mukai", str(path)], ["batch", root]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2), (argv, text)

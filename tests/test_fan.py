@@ -23,6 +23,8 @@ from toricfano.fan import (
     star_subdivision,
     validate,
 )
+from toricfano.fvector import f_vector
+from toricfano.invariants import picard_number
 
 
 def test_projective_space_validates():
@@ -237,3 +239,21 @@ def test_invariant_subvarieties_of_corpus_fans_validate(corpus_fans):
                 assert validate(sub).ok, (name, sigma)
                 checked += 1
     assert checked > 0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_invariant_subvariety_under_relabelling_and_gl_n_z(drawn_fan,
+                                                           relabelled, data):
+    # relabelled draws the same move as transformed and also returns where
+    # each ray goes, so the image of sigma is known.
+    fan = drawn_fan(data)
+    moved, label = relabelled(fan, data)
+    k = data.draw(st.integers(1, fan.dim - 1))
+    sigma = data.draw(st.sampled_from(sorted(face_table(fan)[k])))
+    sub = invariant_subvariety_fan(fan, sigma)
+    moved_sub = invariant_subvariety_fan(moved, [label[i] for i in sigma])
+    assert validate(moved_sub.fan).ok
+    assert f_vector(moved_sub.fan) == f_vector(sub.fan)
+    assert picard_number(moved_sub.fan) == picard_number(sub.fan)
+    assert sorted(moved_sub.back_map) == sorted(label[u] for u in sub.back_map)

@@ -1,5 +1,6 @@
-"""Integer linear algebra: adjugates and determinants, Hermite form,
-kernels, solves."""
+"""Integer linear algebra: adjugates and determinants, rank and kernels
+from the one fraction-free elimination, compared with a Fraction row
+reduction, and the rational solve."""
 
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 from toricfano.errors import NotSquare, SingularBasis
 from toricfano.lattice import (
-    _row_hermite,
     adjugate,
     integer_kernel,
     is_primitive,
@@ -101,29 +101,55 @@ def test_adjugate_property(a):
                                     for i in range(len(a))]
 
 
-def test_hermite_form_properties():
-    rng = random.Random(101)
-    for _ in range(25):
-        rows = rng.randrange(1, 5)
-        cols = rng.randrange(1, 5)
-        entries = [[rng.randrange(-9, 10) for _ in range(cols)]
-                   for _ in range(rows)]
-        h, u, rank = _row_hermite(entries)
-        # U is unimodular and U * M = H.
-        assert _det(u) in (1, -1)
-        product = [[sum(u[i][k] * entries[k][j] for k in range(rows))
-                    for j in range(cols)] for i in range(rows)]
-        assert h == product
-        assert rank == matrix_rank(entries)
-        # Echelon shape with positive pivots.
-        last = -1
-        for row in h:
-            nz = [j for j, x in enumerate(row) if x != 0]
-            if not nz:
-                continue
-            assert nz[0] > last
-            assert row[nz[0]] > 0
-            last = nz[0]
+def _fraction_rank(rows):
+    """The rank by Gauss-Jordan elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        for r in range(len(a)):
+            if r != rank and a[r][col]:
+                f = a[r][col] / a[rank][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def _matrices(draw):
+    """A rows x cols integer matrix, 1 <= rows <= 6, 1 <= cols <= 7,
+    entries in [-4, 4]; some have a zero column, and some have a row that
+    is a combination of two others."""
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 7))
+    entry = st.integers(-4, 4)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        j = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[j] = 0
+    if nrows >= 3 and draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(nrows)))[:3]
+        a, b = draw(entry), draw(entry)
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(m=_matrices())
+def test_rank_and_kernel_match_fraction_elimination(m):
+    rank = _fraction_rank(m)
+    assert matrix_rank(m) == rank
+    kernel = integer_kernel(m)
+    assert len(kernel) == len(m[0]) - rank
+    for vec in kernel:
+        assert len(vec) == len(m[0]) and is_primitive(vec)
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m)
+    assert _fraction_rank(kernel) == len(kernel)
 
 
 def test_integer_kernel_orthogonality():
@@ -181,7 +207,8 @@ def test_solve_in_basis_matches_adjugate(basis, data):
 
 
 def test_quotient_projection_basics():
-    # The integer kernel of a span's rows is the quotient map by that span.
+    # The kernel rows of a unit row map Z^3 onto Z^2, with the row's span
+    # as kernel.
     q = integer_kernel([(1, 0, 0)])
     assert len(q) == 2 and all(len(row) == 3 for row in q)
 
@@ -191,7 +218,7 @@ def test_quotient_projection_basics():
     # The span direction maps to zero; the map is surjective onto Z^2.
     assert apply((1, 0, 0)) == [0, 0]
     image = [apply(v) for v in ((0, 1, 0), (0, 0, 1))]
-    assert _row_hermite(image)[0] == [[1, 0], [0, 1]]
+    assert _det(image) in (1, -1)
     # A full span has the zero lattice as quotient.
     assert integer_kernel([(1, 0), (0, 1)]) == []
 
