@@ -5,9 +5,9 @@ Two independent routes to the same numbers live here. The closed forms
 (dehn_sommerville_fk, dehn_sommerville_tail, psi_k) evaluate explicit
 binomial sums. The engine (ds_tail_from_prefix) knows nothing about those
 sums: it solves the h-vector palindromy equations h_i = h_{n-i} directly.
-Their coefficients depend on n alone, so the system is factored once per
-dimension with lattice.adjugate, and each completion is one integer
-matrix-vector product over the determinant. The closed forms
+Their coefficients depend on n alone, and the system is unimodular, so it
+is inverted once per dimension with lattice.adjugate and each completion
+is one integer matrix-vector product. The closed forms
 are validated against the engine, never trusted; disagreements surface as
 FormulaDiscrepancy records holding both values.
 """
@@ -95,15 +95,17 @@ def is_palindromic(values: Sequence[int]) -> bool:
 
 
 @cache
-def _palindromy_completion(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(det A, adj(A) * R) for the palindromy system A * tail = R * prefix
-    of dimension n, so that tail = (adj(A) * R) * prefix / det A.
+def _palindromy_completion(n: int) -> tuple[tuple[int, ...], ...]:
+    """The integer matrix A^-1 * R for the palindromy system
+    A * tail = R * prefix of dimension n, so that tail = (A^-1 * R) * prefix.
 
     Row i (0 <= i < n - k) of the system is h_i - h_{n-i} = 0: A holds its
     coefficients on the unknowns f_{k}..f_{n-1}, and R the negated
     coefficients on the prefix f_{-1}..f_{k-1}. Both depend on n alone.
     Row i meets the unknowns only through h_{n-i}, whose last term is
-    f_{n-i-1} with coefficient 1, so A is triangular with det A = +-1.
+    f_{n-i-1} with coefficient 1, so A is triangular with det A = +-1 and
+    A^-1 = det A * adj(A). Any other determinant raises
+    InternalInconsistency.
     """
     k = n // 2
 
@@ -114,11 +116,13 @@ def _palindromy_completion(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     system = [[x - y for x, y in zip(h_row(i), h_row(n - i))]
               for i in range(n - k)]
     det, adj = lattice.adjugate([row[k + 1:] for row in system])
-    completion = tuple(
-        tuple(-sum(a * row[c] for a, row in zip(adj_row, system))
+    if det not in (1, -1):
+        raise InternalInconsistency(
+            f"palindromy system of dimension {n} has determinant {det}")
+    return tuple(
+        tuple(-det * sum(a * row[c] for a, row in zip(adj_row, system))
               for c in range(k + 1))
         for adj_row in adj)
-    return det, completion
 
 
 def ds_tail_from_prefix(n: int, prefix: Sequence[int]) -> tuple[Fraction, ...]:
@@ -126,18 +130,21 @@ def ds_tail_from_prefix(n: int, prefix: Sequence[int]) -> tuple[Fraction, ...]:
     the palindromy equations h_i = h_{n-i}.
 
     Returns the n+1 values f_{-1}..f_{n-1} as exact fractions. The system is
-    factored once per dimension (_palindromy_completion); each call is one
-    integer matrix-vector product over its determinant.
+    inverted once per dimension (_palindromy_completion); each call is one
+    integer matrix-vector product.
     """
     if n < 1:
         raise DimensionOutOfRange("n must be at least 1")
     k = n // 2
     if len(prefix) != k + 1:
         raise ValueError(f"prefix must hold the {k + 1} counts f_-1..f_{k - 1}")
-    det, completion = _palindromy_completion(n)
-    tail = tuple(Fraction(sum(m * x for m, x in zip(row, prefix)), det)
-                 for row in completion)
-    return tuple(Fraction(x) for x in prefix) + tail
+    tail = [sum(m * x for m, x in zip(row, prefix))
+            for row in _palindromy_completion(n)]
+    # tuple() of a list allocates the exact size, reusing CPython's tuple
+    # free list. A tuple grown from an iterator is resized instead, and
+    # each one freed would park on the free list of its size unreused,
+    # about 1.7 MB over the cross-check.
+    return tuple([Fraction(x) for x in [*prefix, *tail]])
 
 
 # ---------------------------------------------------------------------------
@@ -170,37 +177,39 @@ def dehn_sommerville_fk(f0: int, n: int) -> int:
     return _require_integer(_fk_closed(f0, n), f"f_{n // 2}")
 
 
-def _tail_closed(f0: int, f_kminus1: int | Fraction,
-                 n: int) -> tuple[Fraction, Fraction]:
+def _tail_affine(f0: int, n: int
+                 ) -> tuple[tuple[int, Fraction], tuple[int, Fraction]]:
+    """The (slope, intercept) of f_{n-2} and of f_{n-3} as affine functions
+    of the free count f_{k-1}, under the hypothesis
+    f_{j-1} = C(f_0, j) for j <= k - 1. Only the intercepts depend on f_0."""
     k = n // 2
-    s = Fraction(f_kminus1)
     if n % 2 == 0:
-        fn2 = k * s + sum(
+        fn2 = sum(
             ((-1) ** j * Fraction(k - j, k + j - 1)
              * ((k - 1) * comb(k + j, k) + comb(k + j - 1, k))
              * comb(f0, k - j) for j in range(1, k)),
             Fraction(0))
         # The leading inner binomial is C(k-1, 2); with C(k, 2) the sum fails
         # every simplex cross-check.
-        fn3 = comb(k, 2) * s + sum(
+        fn3 = sum(
             ((-1) ** j * Fraction(k - j, k + j - 2)
              * (comb(k - 1, 2) * comb(k + j, k)
                 + (k - 2) * comb(k + j - 1, k) + comb(k + j - 2, k))
              * comb(f0, k - j) for j in range(1, k)),
             Fraction(0))
-        return fn2, fn3
-    fn2 = (2 * k + 1) * s + sum(
+        return (k, fn2), (comb(k, 2), fn3)
+    fn2 = sum(
         ((-1) ** j * Fraction(2 * k + 1, k + j)
          * (k * comb(k + j + 1, k + 1) + comb(k + j, k + 1))
          * comb(f0, k - j) for j in range(1, k + 1)),
         Fraction(0))
-    fn3 = k * k * s + sum(
+    fn3 = sum(
         ((-1) ** j * Fraction(2 * k, k + j - 1)
          * (comb(k, 2) * comb(k + j + 1, k + 1)
             + (k - 1) * comb(k + j, k + 1) + comb(k + j - 1, k + 1))
          * comb(f0, k - j) for j in range(1, k + 1)),
         Fraction(0))
-    return fn2, fn3
+    return (2 * k + 1, fn2), (k * k, fn3)
 
 
 def dehn_sommerville_tail(f0: int, f_kminus1: int, n: int) -> tuple[int, int]:
@@ -208,9 +217,9 @@ def dehn_sommerville_tail(f0: int, f_kminus1: int, n: int) -> tuple[int, int]:
     j <= k - 1, with f_{k-1} supplied."""
     if n < 4:
         raise DimensionOutOfRange("n must be at least 4")
-    fn2, fn3 = _tail_closed(f0, f_kminus1, n)
-    return (_require_integer(fn2, f"f_{n - 2}"),
-            _require_integer(fn3, f"f_{n - 3}"))
+    (a1, a0), (b1, b0) = _tail_affine(f0, n)
+    return (_require_integer(a1 * f_kminus1 + a0, f"f_{n - 2}"),
+            _require_integer(b1 * f_kminus1 + b0, f"f_{n - 3}"))
 
 
 def psi_k(f0: int, n: int) -> Fraction:
@@ -248,10 +257,7 @@ def psi_k_eliminated(f0: int, n: int) -> Fraction:
         raise DimensionOutOfRange("n must be at least 4")
     k = n // 2
     c = 3 * n + (k - 1) - 5
-    a0, b0 = _tail_closed(f0, 0, n)
-    a_at1, b_at1 = _tail_closed(f0, 1, n)
-    a1 = a_at1 - a0
-    b1 = b_at1 - b0
+    (a1, a0), (b1, b0) = _tail_affine(f0, n)
     denom = c * a1 - 12 * b1
     if denom <= 0:
         raise InternalInconsistency(
@@ -296,17 +302,16 @@ def closed_form_cross_check(
         closed = _fk_closed(f0, n)
         if closed != full[k + 1]:
             out.append(Discrepancy("fk", (f0,), closed, full[k + 1]))
+        (a1, a0), (b1, b0) = _tail_affine(f0, n)
         for off in _FK_OFFSETS:
-            s = comb(f0, k) + off
+            s = prefix[k] + off
             full2 = ds_tail_from_prefix(n, prefix[:k] + [s])
-            got2, got3 = _tail_closed(f0, s, n)
+            got2, got3 = a1 * s + a0, b1 * s + b0
             want2, want3 = full2[n - 1], full2[n - 2]
             if got2 != want2:
-                out.append(Discrepancy("tail_fn2", (f0, s), Fraction(got2),
-                                       want2))
+                out.append(Discrepancy("tail_fn2", (f0, s), got2, want2))
             if got3 != want3:
-                out.append(Discrepancy("tail_fn3", (f0, s), Fraction(got3),
-                                       want3))
+                out.append(Discrepancy("tail_fn3", (f0, s), got3, want3))
     return out
 
 

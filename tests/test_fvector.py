@@ -184,6 +184,38 @@ def test_injected_broken_formula_is_caught(monkeypatch):
     assert excinfo.value.records
 
 
+@pytest.mark.parametrize("n", [8, 9])
+def test_injected_broken_tail_intercept_is_caught_at_every_offset(
+        monkeypatch, n):
+    # The tail forms are built once per f0; every offset must still be
+    # compared with its own engine completion.
+    correct = fvector._tail_affine
+
+    def broken(f0, n):
+        fn2, (slope, intercept) = correct(f0, n)
+        return fn2, (slope, intercept + 1)
+
+    monkeypatch.setattr(fvector, "_tail_affine", broken)
+    f0_values = range(n + 1, n + 5)
+    records = closed_form_cross_check(n, f0_values=f0_values)
+    assert [(r.formula, r.inputs) for r in records] == [
+        ("tail_fn3", (f0, comb(f0, n // 2) + off))
+        for f0 in f0_values for off in fvector._FK_OFFSETS]
+    assert all(r.closed_value == r.engine_value + 1 for r in records)
+
+
+def test_palindromy_completion_requires_a_unimodular_system(monkeypatch):
+    adjugate = fvector.lattice.adjugate
+
+    def doubled(rows):
+        det, adj = adjugate(rows)
+        return 2 * det, adj
+
+    monkeypatch.setattr(fvector.lattice, "adjugate", doubled)
+    with pytest.raises(InternalInconsistency):
+        fvector._palindromy_completion.__wrapped__(6)
+
+
 def test_psi_display_equals_elimination():
     for n in range(6, 14):
         for f0 in range(n + 1, n + 8):

@@ -5,17 +5,25 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from toricfano import lattice
 from toricfano.errors import TooLarge
 from toricfano.fan import (
     construct_product,
     construct_projective_space,
+    require_valid,
     star_subdivision,
 )
 from toricfano.fvector import f_vector
-from toricfano.invariants import mori_cone_extremal_classes, wall_curves
+from toricfano.invariants import (
+    _extremal_flags,
+    is_fano,
+    mori_cone_extremal_classes,
+    wall_curves,
+)
+from toricfano.io import parse_polytope_unchecked
 from toricfano.oracle import (
     _fingerprint,
     _nonneg_combination_exists,
@@ -26,7 +34,7 @@ from toricfano.oracle import (
     oracle_primitive_collections,
     write_corpus,
 )
-from toricfano.primitive import primitive_collections
+from toricfano.primitive import all_relations, primitive_collections
 
 
 def _power_of_line(n):
@@ -77,6 +85,41 @@ def test_oracle_agrees_under_relabelling_and_gl_n_z(drawn_fan, transformed,
         assert sorted(mori_cone_extremal_classes(fan)) == \
             sorted(oracle_mori_extremals(fan))
     assert _fingerprint(fan) == _fingerprint(drawn)
+
+
+def _mori_from_relations(fan):
+    """Extremal classes of the cone spanned by the primitive-relation
+    classes, which generate the Mori cone of a smooth projective toric
+    variety (Batyrev, Tohoku Math. J. 1991): the double description of
+    mori_cone_extremal_classes, run on the relation classes instead of the
+    wall classes."""
+    first = set(fan.max_cones[0])
+    outside = [i for i in range(len(fan.rays)) if i not in first]
+    classes = sorted({r.class_vector for r in all_relations(fan)})
+    coords = [lattice.make_primitive([c[i] for i in outside])
+              for c in classes]
+    flags = _extremal_flags(coords, len(outside))
+    return [c for c, f in zip(classes, flags) if f]
+
+
+def test_relation_classes_give_the_mori_cone_on_the_corpus(corpus_fans):
+    root = corpus_directory()
+    fans = list(corpus_fans.values()) + [
+        require_valid(parse_polytope_unchecked(
+            path.read_text(encoding="utf-8")))
+        for path in sorted(root.glob("*.poly"))]
+    assert len(fans) == 57
+    for fan in fans:
+        assert _mori_from_relations(fan) == mori_cone_extremal_classes(fan)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_relation_classes_give_the_mori_cone_under_relabelling_and_gl_n_z(
+        drawn_fan, transformed, data):
+    fan = transformed(drawn_fan(data), data)
+    assume(is_fano(fan))
+    assert _mori_from_relations(fan) == mori_cone_extremal_classes(fan)
 
 
 def test_nonneg_combination_solver():
