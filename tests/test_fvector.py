@@ -191,8 +191,8 @@ def test_injected_broken_tail_intercept_is_caught_at_every_offset(
     # compared with its own engine completion.
     correct = fvector._tail_affine
 
-    def broken(f0, n):
-        fn2, (slope, intercept) = correct(f0, n)
+    def broken(f0, dim):
+        fn2, (slope, intercept) = correct(f0, dim)
         return fn2, (slope, intercept + 1)
 
     monkeypatch.setattr(fvector, "_tail_affine", broken)
