@@ -5,8 +5,9 @@ A fan is stored combinatorially: an ambient rank, a tuple of primitive ray
 generators, and the maximal cones as sorted index tuples into the ray list.
 Cone references throughout the package are plain sorted index tuples; the
 empty tuple is the zero cone. Data derived from a fan (its face table,
-primitive collections and relations, wall curves, the adjugate of each
-maximal cone) is computed at most once per Fan object through Fan.cached.
+primitive collections and relations, the wall table, wall curves, the
+adjugate of each maximal cone) is computed at most once per Fan object
+through Fan.cached.
 """
 
 from __future__ import annotations
@@ -149,20 +150,20 @@ def _check_smoothness(fan: Fan, dets: Sequence[int]) -> CheckResult:
     return CheckResult("smoothness", True)
 
 
-def wall_map(fan: Fan) -> dict[ConeRef, list[tuple[ConeRef, int]]]:
-    """Each codimension-1 face (wall) of the maximal cones -> the pairs
+def _walls(fan: Fan) -> dict[ConeRef, tuple[tuple[ConeRef, int], ...]]:
+    """The wall table, read through fan.cached by validation, the face
+    table and the wall curves: each codimension-1 face (wall) -> the pairs
     (cone, position) of the maximal cones containing it, in max_cones
-    order. The wall is the cone with the index at that position dropped,
-    so cone[position] is the cone's ray off the wall."""
+    order, so cone[position] is the cone's ray off the wall."""
     walls: dict[ConeRef, list[tuple[ConeRef, int]]] = {}
     for c in fan.max_cones:
         for p in range(fan.dim):
             walls.setdefault(c[:p] + c[p + 1:], []).append((c, p))
-    return walls
+    return {wall: tuple(sides) for wall, sides in walls.items()}
 
 
 def _check_facet_pairing(fan: Fan) -> CheckResult:
-    bad = sorted(w for w, sides in wall_map(fan).items() if len(sides) != 2)
+    bad = sorted(w for w, s in fan.cached(_walls).items() if len(s) != 2)
     if bad:
         return CheckResult(
             "facet_pairing", False,
@@ -199,7 +200,7 @@ def _cone_coordinates(fan: Fan, cone: ConeRef,
                  for col in columns), det
 
 
-def _check_covering_degree(fan: Fan, dets: Sequence[int]) -> CheckResult:
+def _check_covering_degree(fan: Fan) -> CheckResult:
     """Decide whether the cones cover R^n exactly once.
 
     Runs after every other check has passed, so each wall (facet) lies in
@@ -207,11 +208,13 @@ def _check_covering_degree(fan: Fan, dets: Sequence[int]) -> CheckResult:
     sorted cone c at position p lies on side sign(det c) * (-1)^(n-1-p) of
     the wall c minus p (the sign of the determinant with that ray moved
     last), and the two cones at a wall must put their opposite rays on
-    opposite sides. Facet pairing plus this coherent orientation make the
-    number of cones over a generic point the same everywhere: it equals the
-    covering degree d of the cones over the sphere. Every direction then
-    lies in relatively open faces whose positive local degrees sum to d, so
-    d = 1 puts it in exactly one face: the cones form a complete fan.
+    opposite sides, so det c * (-1)^p must differ between them. The wall
+    reported is the first by its second side in (cone, position) order.
+    Facet pairing plus this coherent orientation make the number of cones
+    over a generic point the same everywhere: it equals the covering
+    degree d of the cones over the sphere. Every direction then lies in
+    relatively open faces whose positive local degrees sum to d, so d = 1
+    puts it in exactly one face: the cones form a complete fan.
 
     Point test: p, the sum of the rays of max_cones[0], is interior to that
     cone, so d >= 2 puts p in a second closed maximal cone. Conversely, in
@@ -220,18 +223,15 @@ def _check_covering_degree(fan: Fan, dets: Sequence[int]) -> CheckResult:
     closed maximal cone.
     """
     n = fan.dim
-    sides: dict[ConeRef, tuple[ConeRef, int]] = {}
-    for c, d in zip(fan.max_cones, dets):
-        for p in range(n):
-            wall = c[:p] + c[p + 1:]
-            side = d * (-1) ** (n - 1 - p)
-            if wall not in sides:
-                sides[wall] = (c, side)
-            elif sides[wall][1] == side:
-                return CheckResult(
-                    "covering_degree", False,
-                    f"cones {sides[wall][0]} and {c} lie on the same side "
-                    f"of wall {wall}")
+    table = fan.cached(_cone_adjugates)
+    folded = [((c, q), other, wall) for wall, ((other, p), (c, q))
+              in fan.cached(_walls).items()
+              if table[other][0] * (-1) ** p == table[c][0] * (-1) ** q]
+    if folded:
+        (c, _), other, wall = min(folded)
+        return CheckResult(
+            "covering_degree", False,
+            f"cones {other} and {c} lie on the same side of wall {wall}")
     first = fan.max_cones[0]
     point = lattice.vector_sum([fan.rays[i] for i in first], n)
     for c in fan.max_cones[1:]:
@@ -262,7 +262,7 @@ def validate(fan: Fan) -> ValidationReport:
         _check_facet_pairing(fan),
     ]
     if all(c.passed for c in checks):
-        checks.append(_check_covering_degree(fan, dets))
+        checks.append(_check_covering_degree(fan))
     else:
         checks.append(CheckResult("covering_degree", False,
                                   "not attempted: earlier checks failed"))
@@ -283,8 +283,8 @@ def require_valid(fan: Fan) -> Fan:
 
 
 def _build_face_table(fan: Fan) -> tuple[frozenset[ConeRef], ...]:
-    levels = [frozenset(fan.max_cones)]
-    for k in range(fan.dim, 0, -1):
+    levels = [frozenset(fan.max_cones), frozenset(fan.cached(_walls))]
+    for k in range(fan.dim - 1, 0, -1):
         levels.append(frozenset(face[:i] + face[i + 1:]
                                 for face in levels[-1] for i in range(k)))
     return tuple(reversed(levels))
@@ -295,9 +295,10 @@ def face_table(fan: Fan) -> tuple[frozenset[ConeRef], ...]:
     j-dimensional cones as sorted index tuples, from {()} at j = 0 to the
     maximal cones at j = dim.
 
-    Level dim is max_cones, and level k-1 is every face of level k with one
-    index dropped, so the table holds each cone once however many maximal
-    cones contain it. Built at most once per Fan.
+    Level dim is max_cones, level dim-1 the walls of the wall table, and
+    level k-1 every face of level k with one index dropped, so the table
+    holds each cone once however many maximal cones contain it. Built at
+    most once per Fan.
     """
     return fan.cached(_build_face_table)
 

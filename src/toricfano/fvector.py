@@ -125,13 +125,13 @@ def _palindromy_completion(n: int) -> tuple[tuple[int, ...], ...]:
         for adj_row in adj)
 
 
-def ds_tail_from_prefix(n: int, prefix: Sequence[int]) -> tuple[Fraction, ...]:
+def ds_tail_from_prefix(n: int, prefix: Sequence[int]) -> tuple[int, ...]:
     """Complete f_{-1}..f_{k-1} (k = [n/2]) to a full count vector using only
     the palindromy equations h_i = h_{n-i}.
 
-    Returns the n+1 values f_{-1}..f_{n-1} as exact fractions. The system is
-    inverted once per dimension (_palindromy_completion); each call is one
-    integer matrix-vector product.
+    Returns the n+1 integers f_{-1}..f_{n-1}. The system is inverted once
+    per dimension over the integers (_palindromy_completion); each call is
+    one integer matrix-vector product.
     """
     if n < 1:
         raise DimensionOutOfRange("n must be at least 1")
@@ -140,11 +140,7 @@ def ds_tail_from_prefix(n: int, prefix: Sequence[int]) -> tuple[Fraction, ...]:
         raise ValueError(f"prefix must hold the {k + 1} counts f_-1..f_{k - 1}")
     tail = [sum(m * x for m, x in zip(row, prefix))
             for row in _palindromy_completion(n)]
-    # tuple() of a list allocates the exact size, reusing CPython's tuple
-    # free list. A tuple grown from an iterator is resized instead, and
-    # each one freed would park on the free list of its size unreused,
-    # about 1.7 MB over the cross-check.
-    return tuple([Fraction(x) for x in [*prefix, *tail]])
+    return (*prefix, *tail)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +272,7 @@ class Discrepancy:
     formula: str
     inputs: tuple[int, ...]
     closed_value: Fraction
-    engine_value: Fraction
+    engine_value: int
 
 
 _FK_OFFSETS = range(-2, 7)

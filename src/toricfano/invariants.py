@@ -21,7 +21,7 @@ from .errors import (
     NotFano,
     UnpairedWall,
 )
-from .fan import Fan, wall_map
+from .fan import Fan, _walls
 from .fvector import f_vector
 from .primitive import PrimitiveRelation, all_relations, primitive_collections
 
@@ -42,7 +42,7 @@ class WallCurve:
 
 
 def _wall_curves(fan: Fan) -> tuple[WallCurve, ...]:
-    walls = wall_map(fan)
+    walls = fan.cached(_walls)
     out = []
     m = len(fan.rays)
     for wall in sorted(walls):

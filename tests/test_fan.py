@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricfano import fan as fan_module
+from toricfano import invariants
 from toricfano.errors import (
     ConeTooSmall,
     DependentSpan,
@@ -24,7 +26,7 @@ from toricfano.fan import (
     validate,
 )
 from toricfano.fvector import f_vector
-from toricfano.invariants import picard_number
+from toricfano.invariants import picard_number, wall_curves
 
 
 def test_projective_space_validates():
@@ -77,6 +79,8 @@ def test_validate_catches_missing_cone():
     report = validate(fan)
     assert not report.ok
     assert "facet_pairing" in report.failed_names
+    assert report.checks[4].detail == \
+        "facets not shared by exactly two maximal cones: [(0,), (2,)]"
 
 
 def test_validate_catches_singular_cone():
@@ -112,10 +116,18 @@ ADVERSARIAL = {
                   for i in range(_M) for pole in (_M, _M + 1)]),
         "interior point (-5, -3, -1) of cone (0, 5, 11) also lies in "
         "cone (3, 11, 14)"),
-    # Smooth and facet-paired, but folded over at one wall.
+    # Smooth and facet-paired, but folded over: at two of its three walls
+    # both cones lie on one side.
     "folded": (
         make_fan(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2), (1, 2)]),
         "cones (0, 1) and (0, 2) lie on the same side of wall (0,)"),
+    # The suspension of folded: four walls are folded. The first of them by
+    # its first side, wall (0, 3), is not the one reported.
+    "folded_suspension": (
+        make_fan(3, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (0, 0, -1)],
+                 [(i, j, pole) for i, j in ((0, 1), (0, 2), (1, 2))
+                  for pole in (3, 4)]),
+        "cones (0, 2, 3) and (0, 2, 4) lie on the same side of wall (0, 2)"),
 }
 
 
@@ -157,6 +169,42 @@ def test_adversarial_fans_fail_under_relabelling_and_gl_n_z(transformed,
                                                             data):
     fan, _ = ADVERSARIAL[data.draw(st.sampled_from(sorted(ADVERSARIAL)))]
     _assert_invariant(fan, transformed(fan, data))
+
+
+def test_walls_are_enumerated_once_per_fan(monkeypatch):
+    builds = []
+    walls = fan_module._walls
+
+    def counting(fan):
+        builds.append(fan)
+        return walls(fan)
+
+    monkeypatch.setattr(fan_module, "_walls", counting)
+    monkeypatch.setattr(invariants, "_walls", counting)
+    fan = construct_product(construct_projective_space(2),
+                            construct_projective_space(1))
+    assert validate(fan).ok
+    assert len(face_table(fan)[fan.dim - 1]) == 9
+    assert len(wall_curves(fan)) == 9
+    assert builds == [fan]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_wall_table_under_relabelling_and_gl_n_z(drawn_fan, relabelled,
+                                                 data):
+    fan = drawn_fan(data)
+    moved, label = relabelled(fan, data)
+    for f in (fan, moved):
+        walls = f.cached(fan_module._walls)
+        assert face_table(f)[f.dim - 1] == set(walls)
+        assert [w.wall for w in wall_curves(f)] == sorted(walls)
+        for wall, sides in walls.items():
+            assert len(sides) == 2
+            assert all(c[:p] + c[p + 1:] == wall for c, p in sides)
+    assert set(moved.cached(fan_module._walls)) == {
+        tuple(sorted(label[i] for i in wall))
+        for wall in fan.cached(fan_module._walls)}
 
 
 def test_faces_counts_and_bounds():
