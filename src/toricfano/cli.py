@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from .errors import (
@@ -208,6 +207,9 @@ def cmd_batch(args) -> int:
     # there are files or CPUs.
     workers = min(args.workers, len(candidates), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here, so that the other subcommands and a serial batch
+        # never load concurrent.futures and multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_process_file, candidates))
     else:

@@ -1,11 +1,15 @@
-"""The Fan data type: validation, the face table, constructors, star
+"""The Fan data type: validation, the face levels, constructors, star
 subdivision, and invariant-subvariety (quotient) fans.
 
 A fan is stored combinatorially: an ambient rank, a tuple of primitive ray
 generators, and the maximal cones as sorted index tuples into the ray list.
 Cone references throughout the package are plain sorted index tuples; the
-empty tuple is the zero cone. Data derived from a fan (its face table,
-primitive collections and relations, the wall table, wall curves, the
+empty tuple is the zero cone. Inside this module the cones of one dimension
+also appear as a level: a frozenset of int bit masks, bit i for ray i. One
+sweep walks the levels from the maximal cones down, joining bit masks with
+two adjacent levels alive at a time, and keeps only the cone counts and the
+minimal non-faces; no fan keeps its whole face table. Data derived from a
+fan (that sweep, primitive relations, the wall table, wall curves, the
 adjugate of each maximal cone) is computed at most once per Fan object
 through Fan.cached.
 """
@@ -13,8 +17,8 @@ through Fan.cached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Iterable, Sequence, TypeVar
+from itertools import combinations, islice
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import lattice
 from .errors import (
@@ -282,43 +286,115 @@ def require_valid(fan: Fan) -> Fan:
 # faces
 
 
-def _build_face_table(fan: Fan) -> tuple[frozenset[ConeRef], ...]:
-    levels = [frozenset(fan.max_cones), frozenset(fan.cached(_walls))]
-    for k in range(fan.dim - 1, 0, -1):
-        levels.append(frozenset(face[:i] + face[i + 1:]
-                                for face in levels[-1] for i in range(k)))
-    return tuple(reversed(levels))
+def _mask_of(ref: Iterable[int]) -> int:
+    """The bit mask of a set of ray indices, bit i for ray i."""
+    return sum(1 << i for i in ref)
 
 
-def face_table(fan: Fan) -> tuple[frozenset[ConeRef], ...]:
-    """Every cone of the fan, grouped by dimension: entry j is the set of
-    j-dimensional cones as sorted index tuples, from {()} at j = 0 to the
-    maximal cones at j = dim.
+def _bits(mask: int) -> Iterator[int]:
+    """The one-bit masks of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
-    Level dim is max_cones, level dim-1 the walls of the wall table, and
-    level k-1 every face of level k with one index dropped, so the table
-    holds each cone once however many maximal cones contain it. Built at
-    most once per Fan.
+
+def _rays_of(mask: int) -> ConeRef:
+    """The sorted ray indices of a bit mask."""
+    return tuple(bit.bit_length() - 1 for bit in _bits(mask))
+
+
+def _max_cone_masks(fan: Fan) -> tuple[int, ...]:
+    return tuple(_mask_of(c) for c in fan.max_cones)
+
+
+def _levels(fan: Fan) -> Iterator[frozenset[int]]:
+    """The cones of each dimension as bit masks, from the maximal cones
+    down to {0}, the zero cone: level dim-1 is the walls of the wall table,
+    and each lower level every face of the level above with one ray
+    dropped. Each level is built from the one before, so a caller that
+    keeps only the last two holds no more than that."""
+    level = frozenset(fan.cached(_max_cone_masks))
+    yield level
+    level = frozenset(_mask_of(w) for w in fan.cached(_walls))
+    yield level
+    for _ in range(fan.dim - 1):
+        # _bits inlined: a generator per mask costs a fifth of the sweep.
+        # The set is freed before the yield; only its frozen copy lives on.
+        below: set[int] = set()
+        add = below.add
+        for mask in level:
+            rest = mask
+            while rest:
+                low = rest & -rest
+                add(mask ^ low)
+                rest ^= low
+        level = frozenset(below)
+        del below
+        yield level
+
+
+def _face_sweep(fan: Fan) -> tuple[tuple[int, ...], tuple[ConeRef, ...]]:
+    """One pass down the face levels, read through fan.cached by the
+    f-vector and the primitive collections: (the number of cones of each
+    dimension 0..dim, the minimal non-faces in (size, tuple) order).
+
+    The faces of size s-1 are grouped by their rays below the highest, and
+    each pair a < b of highest rays in a group is joined. The join is a
+    minimal non-face iff it is not a face of size s and its one-ray drops
+    other than a and b are all faces of size s-1; dropping a or b gives a
+    face of the group. Every minimal non-face S is found: S minus its
+    highest ray and S minus its second-highest are faces that share the
+    rays below. Only the level of size s-1 and the one above it are alive
+    at a time.
     """
-    return fan.cached(_build_face_table)
+    counts: list[int] = []
+    found: list[int] = []
+    above: frozenset[int] = frozenset()
+    for level in _levels(fan):
+        counts.append(len(level))
+        groups: dict[int, list[int]] = {}
+        for face in level:
+            if face:
+                top = 1 << (face.bit_length() - 1)
+                groups.setdefault(face ^ top, []).append(top)
+        for rest, tops in groups.items():
+            if len(tops) < 2:
+                continue
+            tops.sort()
+            drops = [rest ^ bit for bit in _bits(rest)]
+            for a, b in combinations(tops, 2):
+                pair = a | b
+                if rest | pair not in above and \
+                        all(d | pair in level for d in drops):
+                    found.append(rest | pair)
+        above = level
+    collections = sorted((_rays_of(mask) for mask in found),
+                         key=lambda c: (len(c), c))
+    return tuple(reversed(counts)), tuple(collections)
 
 
 def faces(fan: Fan, j: int) -> list[ConeRef]:
     """All distinct j-dimensional cones, as a sorted list of sorted index
-    tuples: level j of the face table.
+    tuples, found by walking the face levels down from the maximal cones.
 
     faces(fan, 0) is the singleton list holding the zero cone ().
     """
     if not 0 <= j <= fan.dim:
         raise DimensionOutOfRange(f"j={j} outside 0..{fan.dim}")
-    return sorted(face_table(fan)[j])
+    level = next(islice(_levels(fan), fan.dim - j, None))
+    return sorted(_rays_of(mask) for mask in level)
 
 
 def is_cone(fan: Fan, ref: Sequence[int]) -> bool:
-    """True iff the index set is a face of some maximal cone: a lookup in
-    the face table, so a repeated or out-of-range index gives False."""
-    return len(ref) <= fan.dim and \
-        tuple(sorted(ref)) in face_table(fan)[len(ref)]
+    """True iff the index set is a face of some maximal cone; a repeated,
+    negative or out-of-range index gives False."""
+    m = len(fan.rays)
+    if len(ref) > fan.dim or len(set(ref)) != len(ref) or \
+            not all(0 <= i < m for i in ref):
+        return False
+    mask = _mask_of(ref)
+    return any(mask & c == mask for c in fan.cached(_max_cone_masks))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .errors import (
     NonIntegralResult,
     RegimeUnsupported,
 )
-from .fan import Fan, face_table
+from .fan import Fan, _face_sweep
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,9 @@ class FVector:
 
 
 def f_vector(fan: Fan) -> FVector:
-    """Count the cones of each dimension: the sizes of the levels of the
-    fan's face table, which is built at most once per Fan."""
-    return FVector(fan.dim, tuple(len(level) for level in face_table(fan)))
+    """Count the cones of each dimension, as read off the fan's sweep of
+    its face levels, which runs at most once per Fan."""
+    return FVector(fan.dim, fan.cached(_face_sweep)[0])
 
 
 def euler_relation_holds(fv: FVector) -> bool:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from . import lattice
@@ -20,7 +19,7 @@ from .errors import (
     NonIntegralCoefficient,
     NotInSupport,
 )
-from .fan import Fan, _cone_coordinates, face_table
+from .fan import Fan, _cone_coordinates, _face_sweep
 
 Collection = tuple[int, ...]
 
@@ -37,48 +36,16 @@ class PrimitiveRelation:
     class_vector: tuple[int, ...]
 
 
-def _minimal_non_faces(fan: Fan) -> tuple[Collection, ...]:
-    table = face_table(fan)
-    found: list[Collection] = []
-    # A minimal non-face has all its (s-1)-subsets spanning cones, so its
-    # size is at most dim + 1.
-    for s in range(2, fan.dim + 2):
-        below = table[s - 1]
-        level = table[s] if s <= fan.dim else frozenset()
-        groups: dict[Collection, list[int]] = {}
-        for face in sorted(below):
-            groups.setdefault(face[:-1], []).append(face[-1])
-        for prefix, lasts in groups.items():
-            for a, b in combinations(lasts, 2):
-                cand = prefix + (a, b)
-                if cand in level:
-                    continue
-                # Dropping a or b gives a face of this group already.
-                if all(cand[:i] + cand[i + 1:] in below
-                       for i in range(s - 2)):
-                    found.append(cand)
-    # Prefixes arrive in increasing order and each group's pairs are
-    # lexicographic, so found is already in (size, tuple) order.
-    return tuple(found)
-
-
 def primitive_collections(fan: Fan) -> list[Collection]:
     """All primitive collections (minimal non-faces), sorted by size then
     lexicographically.
 
-    Candidates come from Apriori-style joins over the face table: for each
-    size s, faces of size s-1 are grouped by their first s-2 indices, and
-    each pair a < b of last indices in a group gives prefix + (a, b). A
-    candidate qualifies iff it is not a face and every facet made by
-    dropping a prefix index is a face; the facets made by dropping a or b
-    are faces of the group. Supersets of smaller collections fail that test.
-
-    Completeness: a minimal non-face S of size s >= 2 has every proper
-    subset a face, in particular S minus its last index and S minus its
-    second-to-last index. These two faces of size s-1 share the prefix
-    S[:s-2], so their join produces S. Computed at most once per Fan.
+    They are read off the fan's sweep of its face levels, which runs at
+    most once per Fan: Apriori-style joins over bit masks, bit i for ray
+    i, with two adjacent levels alive at a time. fan._face_sweep states
+    the join test and why it finds every minimal non-face.
     """
-    return list(fan.cached(_minimal_non_faces))
+    return list(fan.cached(_face_sweep)[1])
 
 
 def primitive_relation(fan: Fan, collection: Sequence[int]) -> PrimitiveRelation:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -285,12 +288,26 @@ def test_batch_pool_is_capped_at_files_and_cpus(tmp_path, monkeypatch,
     for name in ("a", "b", "c"):
         (tmp_path / f"{name}.fan").write_text(PLANE)
     _SerialPool.requested = []
-    monkeypatch.setattr(toricfano.cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _SerialPool)
     assert main(["batch", str(tmp_path), "--format", "json",
                  "--workers", "1000000"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["passed"] == 3
     assert all(n <= min(3, os.cpu_count() or 1)
                for n in _SerialPool.requested)
+
+
+def test_cli_import_loads_no_process_pool():
+    # Only a batch with more than one worker needs a pool; every other
+    # command skips the import of concurrent.futures and multiprocessing.
+    code = ("import sys, toricfano.cli; "
+            "print(sorted(m for m in ('concurrent.futures', "
+            "'multiprocessing') if m in sys.modules))")
+    src = str(Path(toricfano.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_poly_files_accepted(capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +19,6 @@ from toricfano.errors import (
 from toricfano.fan import (
     construct_product,
     construct_projective_space,
-    face_table,
     faces,
     invariant_subvariety_fan,
     is_cone,
@@ -184,7 +185,7 @@ def test_walls_are_enumerated_once_per_fan(monkeypatch):
     fan = construct_product(construct_projective_space(2),
                             construct_projective_space(1))
     assert validate(fan).ok
-    assert len(face_table(fan)[fan.dim - 1]) == 9
+    assert len(faces(fan, fan.dim - 1)) == 9
     assert len(wall_curves(fan)) == 9
     assert builds == [fan]
 
@@ -197,7 +198,7 @@ def test_wall_table_under_relabelling_and_gl_n_z(drawn_fan, relabelled,
     moved, label = relabelled(fan, data)
     for f in (fan, moved):
         walls = f.cached(fan_module._walls)
-        assert face_table(f)[f.dim - 1] == set(walls)
+        assert faces(f, f.dim - 1) == sorted(walls)
         assert [w.wall for w in wall_curves(f)] == sorted(walls)
         for wall, sides in walls.items():
             assert len(sides) == 2
@@ -218,6 +219,15 @@ def test_faces_counts_and_bounds():
         faces(p2, -1)
 
 
+def test_faces_are_the_subsets_of_the_maximal_cones(corpus_fans):
+    for name, fan in corpus_fans.items():
+        for j in range(fan.dim + 1):
+            subsets = {face for c in fan.max_cones
+                       for face in combinations(c, j)}
+            assert faces(fan, j) == sorted(subsets), (name, j)
+            assert all(is_cone(fan, face) for face in subsets)
+
+
 def test_is_cone():
     p2 = construct_projective_space(2)
     assert is_cone(p2, ())
@@ -228,6 +238,8 @@ def test_is_cone():
     assert not is_cone(p2, (0, 0))
     assert not is_cone(p2, (0, 3))
     assert not is_cone(p2, (0, 1, 2, 0))
+    assert not is_cone(p2, (-1,))
+    assert not is_cone(p2, (0, -1))
 
 
 def test_star_subdivision_of_plane_cone():
@@ -279,9 +291,8 @@ def test_invariant_subvarieties_of_corpus_fans_validate(corpus_fans):
     for name, fan in corpus_fans.items():
         if len(fan.rays) > 10:
             continue
-        table = face_table(fan)
         for k in range(1, fan.dim):
-            for sigma in table[k]:
+            for sigma in faces(fan, k):
                 sub = invariant_subvariety_fan(fan, sigma).fan
                 assert sub.dim == fan.dim - k, (name, sigma)
                 assert validate(sub).ok, (name, sigma)
@@ -298,7 +309,7 @@ def test_invariant_subvariety_under_relabelling_and_gl_n_z(drawn_fan,
     fan = drawn_fan(data)
     moved, label = relabelled(fan, data)
     k = data.draw(st.integers(1, fan.dim - 1))
-    sigma = data.draw(st.sampled_from(sorted(face_table(fan)[k])))
+    sigma = data.draw(st.sampled_from(faces(fan, k)))
     sub = invariant_subvariety_fan(fan, sigma)
     moved_sub = invariant_subvariety_fan(moved, [label[i] for i in sigma])
     assert validate(moved_sub.fan).ok

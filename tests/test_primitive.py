@@ -9,6 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricfano import fan as fan_module
+from toricfano import fvector, primitive
+from toricfano.cli import _invariants_payload
 from toricfano.errors import NonIntegralCoefficient, SingularBasis
 from toricfano.fan import (
     construct_product,
@@ -20,7 +23,8 @@ from toricfano.fan import (
     validate,
 )
 from toricfano.fvector import f_vector
-from toricfano.invariants import wall_curves
+from toricfano.invariants import mukai_check, wall_curves
+from toricfano.oracle import oracle_f_vector, oracle_primitive_collections
 from toricfano.primitive import (
     all_relations,
     degrees_summary,
@@ -148,6 +152,58 @@ def test_closed_forms_beyond_the_oracle_limit():
     p14 = construct_projective_space(14)
     assert primitive_collections(p14) == [tuple(range(15))]
     assert f_vector(p14).f == tuple(comb(15, k) for k in range(15))
+    # Two hexagon fans x P^2 x (P^1)^3: 21 rays in dimension 9. The
+    # collections of a product are those of its factors, and its
+    # f-polynomial sum f[j] t^j is the product of theirs.
+    factors = [HEXAGON, HEXAGON, construct_projective_space(2)] + \
+        [construct_projective_space(1)] * 3
+    mixed = reduce(construct_product, factors)
+    assert (len(mixed.rays), mixed.dim) == (21, 9)
+    expected: set[frozenset] = set()
+    f_poly = [1]
+    offset = 0
+    for factor in factors:
+        collections = primitive_collections(factor)
+        assert collections == oracle_primitive_collections(factor)
+        assert f_vector(factor) == oracle_f_vector(factor)
+        after = mixed.dim - offset - factor.dim
+        expected |= {frozenset((0,) * offset + factor.rays[i] + (0,) * after
+                               for i in c) for c in collections}
+        f_poly = [sum(f_poly[i] * f_vector(factor).f[j - i]
+                      for i in range(len(f_poly)) if 0 <= j - i <= factor.dim)
+                  for j in range(len(f_poly) + factor.dim)]
+        offset += factor.dim
+    assert {frozenset(mixed.rays[i] for i in c)
+            for c in primitive_collections(mixed)} == expected
+    assert len(primitive_collections(mixed)) == len(expected) == 22
+    assert f_vector(mixed).f == tuple(f_poly)
+
+
+def test_face_levels_are_swept_once_per_fan(monkeypatch):
+    sweeps = []
+    sweep = fan_module._face_sweep
+
+    def counting(fan):
+        sweeps.append(fan)
+        return sweep(fan)
+
+    for module in (fan_module, fvector, primitive):
+        monkeypatch.setattr(module, "_face_sweep", counting)
+    fan = _blown_up_product()
+    assert f_vector(fan).f == (1, 6, 12, 8)
+    assert len(primitive_collections(fan)) == len(all_relations(fan)) == 5
+    assert mukai_check(fan).dim_n == 3
+    assert _invariants_payload(fan)["f_vector"] == [1, 6, 12, 8]
+    assert sweeps == [fan]
+    # The memo holds the sweep's counts and collections, never a level.
+    for value in fan.__dict__["_cached"].values():
+        parts = value if isinstance(value, tuple) else (value,)
+        assert not any(isinstance(part, (set, frozenset)) for part in parts)
+
+
+# The fan of the del Pezzo surface of degree 6, over the hexagon.
+HEXAGON = make_fan(2, [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+                   [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
 
 
 def _blown_up_product():
