@@ -156,14 +156,13 @@ def _require_integer(value: Fraction, what: str) -> int:
 def _fk_closed(f0: int, n: int) -> Fraction:
     k = n // 2
     if n % 2 == 0:
-        return sum(
-            (Fraction((-1) ** (k - j - 1) * (j + 1), k + 1)
-             * comb(2 * k - j, k) * comb(f0, j + 1) for j in range(k)),
-            Fraction(0))
-    return sum(
-        (Fraction((-1) ** (k - j - 1) * comb(2 * k - j + 1, k + 1)
-                  * comb(f0, j + 1)) for j in range(-1, k)),
-        Fraction(0))
+        # Every term of the even-n sum carries 1/(k+1); divide once.
+        return Fraction(sum(
+            (-1) ** (k - j - 1) * (j + 1) * comb(2 * k - j, k)
+            * comb(f0, j + 1) for j in range(k)), k + 1)
+    return Fraction(sum(
+        (-1) ** (k - j - 1) * comb(2 * k - j + 1, k + 1) * comb(f0, j + 1)
+        for j in range(-1, k)))
 
 
 def dehn_sommerville_fk(f0: int, n: int) -> int:
@@ -284,7 +283,11 @@ def closed_form_cross_check(
 
     The engine is fed the same hypothesis inputs (binomial prefix, free
     f_{k-1} = C(f_0, k) + offset for each offset in _FK_OFFSETS); both
-    routes must produce identical values.
+    routes must produce identical values. Each tail intercept is read once
+    per f_0 as num / den, so a tail form agrees with the engine value e at
+    f_{k-1} = s exactly when (slope * s - e) * den + num == 0: the
+    comparison stays in integers, and a Fraction is built only for a
+    Discrepancy record.
     """
     if n < 4:
         raise DimensionOutOfRange("n must be at least 4")
@@ -299,15 +302,16 @@ def closed_form_cross_check(
         if closed != full[k + 1]:
             out.append(Discrepancy("fk", (f0,), closed, full[k + 1]))
         (a1, a0), (b1, b0) = _tail_affine(f0, n)
+        forms = (("tail_fn2", n - 1, a1, a0.numerator, a0.denominator),
+                 ("tail_fn3", n - 2, b1, b0.numerator, b0.denominator))
         for off in _FK_OFFSETS:
             s = prefix[k] + off
             full2 = ds_tail_from_prefix(n, prefix[:k] + [s])
-            got2, got3 = a1 * s + a0, b1 * s + b0
-            want2, want3 = full2[n - 1], full2[n - 2]
-            if got2 != want2:
-                out.append(Discrepancy("tail_fn2", (f0, s), got2, want2))
-            if got3 != want3:
-                out.append(Discrepancy("tail_fn3", (f0, s), got3, want3))
+            for formula, i, slope, num, den in forms:
+                if (slope * s - full2[i]) * den + num:
+                    out.append(Discrepancy(
+                        formula, (f0, s), slope * s + Fraction(num, den),
+                        full2[i]))
     return out
 
 

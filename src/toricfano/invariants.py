@@ -187,9 +187,19 @@ def _extremal_flags(vectors: list[tuple[int, ...]],
             for i in range(len(vectors))]
 
 
+def _mori_extremals(fan: Fan) -> tuple[tuple[int, ...], ...]:
+    first = set(fan.max_cones[0])
+    outside = [i for i in range(len(fan.rays)) if i not in first]
+    classes = sorted({w.relation for w in wall_curves(fan)})
+    coords = [tuple(c[i] for i in outside) for c in classes]
+    flags = _extremal_flags(coords, len(outside))
+    return tuple(c for c, f in zip(classes, flags) if f)
+
+
 def mori_cone_extremal_classes(fan: Fan) -> list[tuple[int, ...]]:
     """Primitive integer generators of the extreme rays of the cone spanned
-    by the wall classes, canonically ordered.
+    by the wall classes, canonically ordered. Computed at most once per
+    Fan.
 
     Each class is read on the rho rays outside max_cones[0], and the double
     description runs on those integer coordinates:
@@ -199,12 +209,7 @@ def mori_cone_extremal_classes(fan: Fan) -> list[tuple[int, ...]]:
       it maps extreme rays to extreme rays;
     - invariant curves span N_1, so the projected classes span Q^rho.
     """
-    first = set(fan.max_cones[0])
-    outside = [i for i in range(len(fan.rays)) if i not in first]
-    classes = sorted({w.relation for w in wall_curves(fan)})
-    coords = [tuple(c[i] for i in outside) for c in classes]
-    flags = _extremal_flags(coords, len(outside))
-    return [c for c, f in zip(classes, flags) if f]
+    return list(fan.cached(_mori_extremals))
 
 
 def is_extremal(fan: Fan,

@@ -23,11 +23,14 @@ from toricfano.fan import (
     invariant_subvariety_fan,
     is_cone,
     make_fan,
+    require_valid,
     star_subdivision,
     validate,
 )
 from toricfano.fvector import f_vector
 from toricfano.invariants import picard_number, wall_curves
+from toricfano.io import parse_polytope_unchecked
+from toricfano.oracle import corpus_directory
 
 
 def test_projective_space_validates():
@@ -206,6 +209,40 @@ def test_wall_table_under_relabelling_and_gl_n_z(drawn_fan, relabelled,
     assert set(moved.cached(fan_module._walls)) == {
         tuple(sorted(label[i] for i in wall))
         for wall in fan.cached(fan_module._walls)}
+
+
+def _assert_wall_coordinates(fan):
+    """At each wall, the ray v opposite u, in the coordinates of the cone
+    of u: numerator -det at u and det * c_i at each wall ray x_i, with the
+    c_i of the wall curve u + v = sum(c_i * x_i). Checked from both sides."""
+    relations = {w.wall: w.relation for w in wall_curves(fan)}
+    for wall, sides in fan.cached(fan_module._walls).items():
+        for (cone_u, pos_u), (cone_v, pos_v) in (sides, sides[::-1]):
+            numerators, det = fan_module._cone_coordinates(
+                fan, cone_u, fan.rays[cone_v[pos_v]])
+            assert numerators[pos_u] == -det
+            rest = numerators[:pos_u] + numerators[pos_u + 1:]
+            assert all(x % det == 0 for x in rest)
+            # The class vector carries -c_i at the wall rays.
+            assert [x // det for x in rest] == \
+                [-relations[wall][i] for i in wall]
+
+
+def test_wall_coordinates_give_the_wall_curves_on_the_corpus(corpus_fans):
+    polytopes = {path.stem: require_valid(parse_polytope_unchecked(
+        path.read_text(encoding="utf-8")))
+        for path in sorted(corpus_directory().glob("*.poly"))}
+    fans = {**corpus_fans, **polytopes}
+    assert len(fans) == 57
+    for fan in fans.values():
+        _assert_wall_coordinates(fan)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_wall_coordinates_under_relabelling_and_gl_n_z(drawn_fan,
+                                                       transformed, data):
+    _assert_wall_coordinates(transformed(drawn_fan(data), data))
 
 
 def test_faces_counts_and_bounds():

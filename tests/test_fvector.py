@@ -172,36 +172,41 @@ def test_closed_forms_match_engine_everywhere():
 
 
 def test_injected_broken_formula_is_caught(monkeypatch):
+    # The comparisons run in integers; an error below 1 must show too.
     correct = fvector._fk_closed
-    monkeypatch.setattr(fvector, "_fk_closed",
-                        lambda f0, n: correct(f0, n) + 1)
-    records = closed_form_cross_check(8)
-    assert records
-    rec = records[0]
-    assert rec.closed_value == rec.engine_value + 1
-    with pytest.raises(FormulaDiscrepancy) as excinfo:
-        verify_closed_forms(8)
-    assert excinfo.value.records
+    for error in (1, Fraction(1, 3)):
+        monkeypatch.setattr(fvector, "_fk_closed",
+                            lambda f0, n, e=error: correct(f0, n) + e)
+        records = closed_form_cross_check(8)
+        assert [(r.formula, r.inputs) for r in records] == [
+            ("fk", (f0,)) for f0 in range(9, 21)]
+        assert all(r.closed_value == r.engine_value + error
+                   for r in records)
+        with pytest.raises(FormulaDiscrepancy) as excinfo:
+            verify_closed_forms(8)
+        assert excinfo.value.records
 
 
 @pytest.mark.parametrize("n", [8, 9])
 def test_injected_broken_tail_intercept_is_caught_at_every_offset(
         monkeypatch, n):
     # The tail forms are built once per f0; every offset must still be
-    # compared with its own engine completion.
+    # compared with its own engine completion. The intercept's denominator
+    # enters each integer comparison, so an error of 1/2 must show too.
     correct = fvector._tail_affine
-
-    def broken(f0, dim):
-        fn2, (slope, intercept) = correct(f0, dim)
-        return fn2, (slope, intercept + 1)
-
-    monkeypatch.setattr(fvector, "_tail_affine", broken)
     f0_values = range(n + 1, n + 5)
-    records = closed_form_cross_check(n, f0_values=f0_values)
-    assert [(r.formula, r.inputs) for r in records] == [
-        ("tail_fn3", (f0, comb(f0, n // 2) + off))
-        for f0 in f0_values for off in fvector._FK_OFFSETS]
-    assert all(r.closed_value == r.engine_value + 1 for r in records)
+    for error in (1, Fraction(1, 2)):
+        def broken(f0, dim, e=error):
+            fn2, (slope, intercept) = correct(f0, dim)
+            return fn2, (slope, intercept + e)
+
+        monkeypatch.setattr(fvector, "_tail_affine", broken)
+        records = closed_form_cross_check(n, f0_values=f0_values)
+        assert [(r.formula, r.inputs) for r in records] == [
+            ("tail_fn3", (f0, comb(f0, n // 2) + off))
+            for f0 in f0_values for off in fvector._FK_OFFSETS]
+        assert all(r.closed_value == r.engine_value + error
+                   for r in records)
 
 
 def test_palindromy_completion_requires_a_unimodular_system(monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from toricfano import invariants
 from toricfano.errors import NotFano, UnpairedWall
 from toricfano.fan import (
     construct_product,
@@ -96,6 +97,25 @@ def test_extremal_membership():
         assert is_extremal(bl, cls)
     summed = tuple(a + b for a, b in zip(classes[0], classes[1]))
     assert not is_extremal(bl, summed)
+
+
+def test_mori_cone_is_computed_once_per_fan(monkeypatch):
+    builds = []
+    dual_extreme_rays = invariants._dual_extreme_rays
+
+    def counting(constraints, dim):
+        builds.append(dim)
+        return dual_extreme_rays(constraints, dim)
+
+    monkeypatch.setattr(invariants, "_dual_extreme_rays", counting)
+    bl = _del_pezzo_one()
+    first = mori_cone_extremal_classes(bl)
+    second = mori_cone_extremal_classes(bl)
+    assert first == second and first is not second
+    first.clear()
+    assert all(is_extremal(bl, cls) for cls in second)
+    assert mori_cone_extremal_classes(bl) == second
+    assert builds == [2]
 
 
 def test_contractibility_sufficient_condition():

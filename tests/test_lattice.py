@@ -4,7 +4,6 @@ reduction, and the rational solve."""
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -150,22 +149,6 @@ def test_rank_and_kernel_match_fraction_elimination(m):
         assert len(vec) == len(m[0]) and is_primitive(vec)
         assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m)
     assert _fraction_rank(kernel) == len(kernel)
-
-
-def test_integer_kernel_orthogonality():
-    rng = random.Random(202)
-    for _ in range(25):
-        rows = rng.randrange(1, 4)
-        cols = rng.randrange(1, 6)
-        m = [[rng.randrange(-6, 7) for _ in range(cols)]
-             for _ in range(rows)]
-        kernel = integer_kernel(m)
-        assert len(kernel) == cols - matrix_rank(m)
-        for vec in kernel:
-            assert all(sum(a * b for a, b in zip(row, vec)) == 0
-                       for row in m)
-        if kernel:
-            assert matrix_rank(kernel) == len(kernel)
 
 
 def test_integer_kernel_projective_plane_class():
