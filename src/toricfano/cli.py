@@ -16,7 +16,6 @@ from pathlib import Path
 from .errors import (
     FanSyntaxError,
     NonSimplicialFacet,
-    NotFano,
     OriginNotInterior,
     RegimeUnsupported,
     ValidationError,

@@ -10,8 +10,8 @@ sweep walks the levels from the maximal cones down, joining bit masks with
 two adjacent levels alive at a time, and keeps only the cone counts and the
 minimal non-faces; no fan keeps its whole face table. Data derived from a
 fan (that sweep, primitive relations, the wall table, wall curves, the
-adjugate of each maximal cone) is computed at most once per Fan object
-through Fan.cached.
+adjugate of each maximal cone, the extremal classes of the Mori cone) is
+computed at most once per Fan object through Fan.cached.
 """
 
 from __future__ import annotations

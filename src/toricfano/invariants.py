@@ -98,93 +98,16 @@ def pseudo_index(fan: Fan) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Mori cone generators by double description
+# Mori cone generators
 
-def _dual_extreme_rays(constraints: list[tuple[int, ...]],
-                       dim: int) -> list[tuple[tuple[int, ...], set[int]]]:
-    """Extreme rays of { y : a . y >= 0 for all a } by incremental double
-    description with exact integer arithmetic, each with its tight set: the
-    indices of the constraints that vanish on it. Sorted by ray.
-
-    Assumes the constraints span Q^dim, so the result cone is pointed.
-    Each returned ray carries no lineality and is primitive.
-
-    The tight sets are exact by induction. A line left after a pivot is
-    orthogonal to every earlier constraint, so projecting along the pivot
-    scales each earlier value by pa > 0. A new ray
-    values[i] * r_j - values[j] * r_i has positive weights, so it vanishes
-    exactly on common | {ci}.
-    """
-    def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
-
-    rays: list[tuple[int, ...]] = []
-    tight: list[set[int]] = []
-    lines: list[tuple[int, ...]] = [
-        tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)]
-    for ci, a in enumerate(constraints):
-        pivot_idx = next((i for i, l in enumerate(lines) if dot(a, l) != 0),
-                         None)
-        if pivot_idx is not None:
-            pivot = lines.pop(pivot_idx)
-            if dot(a, pivot) < 0:
-                pivot = tuple(-x for x in pivot)
-            pa = dot(a, pivot)
-            lines = [lattice.make_primitive(
-                tuple(pa * x - dot(a, l) * p for x, p in zip(l, pivot)))
-                for l in lines]
-            # Projecting along the pivot scales by pa > 0 and lands every
-            # previous ray on the new hyperplane; recorded tight sets survive.
-            rays = [lattice.make_primitive(
-                tuple(pa * x - dot(a, r) * p for x, p in zip(r, pivot)))
-                for r in rays]
-            for t in tight:
-                t.add(ci)
-            rays.append(lattice.make_primitive(pivot))
-            tight.append(set(range(ci)))
-            continue
-        values = [dot(a, r) for r in rays]
-        keep_rays: list[tuple[int, ...]] = []
-        keep_tight: list[set[int]] = []
-        for r, t, val in zip(rays, tight, values):
-            if val > 0:
-                keep_rays.append(r)
-                keep_tight.append(t)
-            elif val == 0:
-                keep_rays.append(r)
-                keep_tight.append(t | {ci})
-        free_dim = dim - len(lines)
-        for i, j in (
-                (i, j) for i in range(len(rays)) for j in range(len(rays))):
-            if not (values[i] > 0 and values[j] < 0):
-                continue
-            common = tight[i] & tight[j]
-            # Algebraic adjacency: the shared tight constraints must cut the
-            # pointed part down to a 2-face.
-            if lattice.matrix_rank(
-                    [constraints[c] for c in common]) != free_dim - 2:
-                continue
-            new = tuple(values[i] * y - values[j] * x
-                        for x, y in zip(rays[i], rays[j]))
-            new = lattice.make_primitive(new)
-            if new not in keep_rays:
-                keep_rays.append(new)
-                keep_tight.append(common | {ci})
-        rays, tight = keep_rays, keep_tight
-    if lines:
-        raise InternalInconsistency("constraints do not span the space")
-    order = sorted(range(len(rays)), key=lambda i: rays[i])
-    return [(rays[i], tight[i]) for i in order]
-
-
-def _extremal_flags(vectors: list[tuple[int, ...]],
-                    dim: int) -> list[bool]:
+def _extremal_flags(vectors: list[tuple[int, ...]]) -> list[bool]:
     """For each vector, whether it spans an extreme ray of the cone generated
-    by all of them: whether the facet normals tight on it have rank
-    dim - 1. The vectors must span Q^dim."""
-    facets = _dual_extreme_rays(vectors, dim)
-    return [lattice.matrix_rank([f for f, t in facets if i in t]) == dim - 1
-            for i in range(len(vectors))]
+    by all of them: whether the facet normals tight on it have rank d - 1.
+    The vectors must span Q^d."""
+    d = len(vectors[0])
+    facets = lattice.cone_facets(vectors)
+    return [lattice.matrix_rank([f for f, mask in facets if mask >> i & 1])
+            == d - 1 for i in range(len(vectors))]
 
 
 def _mori_extremals(fan: Fan) -> tuple[tuple[int, ...], ...]:
@@ -192,7 +115,7 @@ def _mori_extremals(fan: Fan) -> tuple[tuple[int, ...], ...]:
     outside = [i for i in range(len(fan.rays)) if i not in first]
     classes = sorted({w.relation for w in wall_curves(fan)})
     coords = [tuple(c[i] for i in outside) for c in classes]
-    flags = _extremal_flags(coords, len(outside))
+    flags = _extremal_flags(coords)
     return tuple(c for c, f in zip(classes, flags) if f)
 
 
@@ -201,8 +124,8 @@ def mori_cone_extremal_classes(fan: Fan) -> list[tuple[int, ...]]:
     by the wall classes, canonically ordered. Computed at most once per
     Fan.
 
-    Each class is read on the rho rays outside max_cones[0], and the double
-    description runs on those integer coordinates:
+    Each class is read on the rho rays outside max_cones[0], and
+    lattice.cone_facets runs on those integer coordinates:
     - a relation that vanishes on those rays is a relation among the
       independent rays of max_cones[0], so it is zero;
     - so the projection is injective on the rank-rho relation space, and

@@ -2,13 +2,14 @@
 face-fan construction, and deterministic report rendering.
 
 The face fan of a `.poly` polytope has one cone per facet. The facets are
-found by gift wrapping: one facet from the hyperplane x_1 = max x_1, then
-across each ridge to the facet on its other side, with the directions of
-all of a facet's ridges read off one adjugate of its vertex matrix. A
-facet with more than n vertices raises NonSimplicialFacet, and one that
-does not keep the origin strictly inside raises OriginNotInterior; on a
-polytope with both faults, the facet the walk reaches first decides
-which.
+those of the cone over the points (v, 1), from lattice.cone_facets: a
+facet's vertices are its tight set, and its inner normal (a, b) keeps the
+origin strictly inside when b > 0. A facet with more than n vertices
+raises NonSimplicialFacet, and one that does not keep the origin strictly
+inside raises OriginNotInterior; the facets are checked in the order of
+their normals, so on a polytope with both faults the first facet in that
+order decides which. Vertices that span no more than a proper affine
+subspace raise OriginNotInterior.
 
 The `.fan` grammar: a header line `FAN <n> <m> <c>`, then m ray lines of n
 integers each, then c cone lines of n ray indices each. The `.poly` grammar:
@@ -30,6 +31,7 @@ from .errors import (
     FanSyntaxError,
     NonSimplicialFacet,
     OriginNotInterior,
+    SingularBasis,
 )
 from .fan import Fan, make_fan, require_valid
 
@@ -139,125 +141,31 @@ def serialize_fan(fan: Fan) -> str:
     return "\n".join(out) + "\n"
 
 
-def _dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
-def _checked_facet(vertices: Sequence[tuple[int, ...]], normal: Sequence[int],
-                   offset: int, n: int) -> tuple[int, ...]:
-    """Indices of the vertices on the facet hyperplane normal . x = offset;
-    raises when the facet is non-simplicial or fails to keep the origin
-    strictly inside."""
-    on_plane = tuple(i for i, v in enumerate(vertices)
-                     if _dot(normal, v) == offset)
-    if len(on_plane) > n:
-        raise NonSimplicialFacet(
-            f"facet through vertices {on_plane} has {len(on_plane)} "
-            f"vertices in dimension {n}")
-    if offset <= 0:
+def _polytope_facets(vertices: Sequence[tuple[int, ...]],
+                     n: int) -> list[tuple[int, ...]]:
+    """Facet vertex-index sets of conv(vertices), sorted: the tight sets of
+    the facets of the cone over the points (v, 1). The facets are checked
+    in the order of their normals; one with more than n vertices raises
+    NonSimplicialFacet, and one whose inner normal (a, b) has b <= 0 fails
+    to keep the origin strictly inside and raises OriginNotInterior."""
+    try:
+        facets = lattice.cone_facets([v + (1,) for v in vertices])
+    except SingularBasis:
         raise OriginNotInterior(
-            f"facet through vertices {on_plane} does not separate the "
-            "origin strictly from the outside")
-    return on_plane
-
-
-def _tilt(vertices: Sequence[tuple[int, ...]], normal: Sequence[int],
-          offset: int, c: Sequence[int],
-          base: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Turn the supporting hyperplane normal . x = offset about its meet
-    with c . x = c . base, away from c, until it hits a vertex; returns
-    the new outward normal and offset.
-
-    The hyperplanes through that meet have normals -e * normal - s * c.
-    With s_p = offset - normal . p > 0 and e_p = c . (p - base), the one
-    through vertex p keeps vertex q inside iff e_p / s_p <= e_q / s_q, so
-    the vertex with the least e_p / s_p gives the next supporting
-    hyperplane (compared by cross-multiplication, all in integers).
-    """
-    c_base = _dot(c, base)
-    best_e, best_s = 0, 0
-    for v in vertices:
-        s = offset - _dot(normal, v)
-        if s > 0:
-            e = _dot(c, v) - c_base
-            if not best_s or e * best_s < best_e * s:
-                best_e, best_s = e, s
-    tilted = lattice.make_primitive([-best_e * x - best_s * y
-                                     for x, y in zip(normal, c)])
-    return tilted, _dot(tilted, base)
-
-
-def _facet_walk(vertices: Sequence[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """Facet vertex-index sets of conv(vertices) by gift wrapping: find one
-    facet, then cross each of its ridges to the facet on the other side
-    (Chand & Kapur 1970). A simplicial polytope has exactly two facets on
-    each ridge, so the cost is about ridges * vertices, plus one adjugate
-    per facet for its ridge directions. Raises when a facet is
-    non-simplicial or fails to keep the origin strictly inside.
-    """
-    values = [v[0] for v in vertices]
-    if n == 1:
-        # The facets of a segment are its end points.
-        return sorted({_checked_facet(vertices, (1,), max(values), n),
-                       _checked_facet(vertices, (-1,), -min(values), n)})
-    origin = vertices[0]
-    spread = [tuple(v[j] - origin[j] for j in range(n)) for v in vertices[1:]]
-    if lattice.matrix_rank(spread) < n:
-        raise OriginNotInterior(
-            "the vertices lie in a proper affine subspace")
-
-    def through(indices: Sequence[int], normal: Sequence[int]) -> list:
-        """Difference rows of the given vertices, plus the normal. Their
-        integer kernel holds the directions orthogonal to both, about which
-        the hyperplane can turn and keep those vertices on it."""
-        base = vertices[indices[0]]
-        return [tuple(vertices[i][j] - base[j] for j in range(n))
-                for i in indices[1:]] + [tuple(normal)]
-
-    # First facet: tilt the supporting hyperplane x_1 = max x_1 about the
-    # affine hull of its vertices until that hull has dimension n - 1.
-    normal: tuple[int, ...] = (1,) + (0,) * (n - 1)
-    offset = max(values)
-    while True:
-        on_plane = tuple(i for i, v in enumerate(vertices)
-                         if _dot(normal, v) == offset)
-        kernel = lattice.integer_kernel(through(on_plane, normal))
-        if not kernel:
-            break
-        normal, offset = _tilt(vertices, normal, offset, kernel[0],
-                               vertices[on_plane[0]])
-    first = _checked_facet(vertices, normal, offset, n)
-    planes = {first: (normal, offset)}
-    queue = [first]
-    done: set[tuple[int, ...]] = set()
-    while queue:
-        facet = queue.pop()
-        normal, offset = planes[facet]
-        open_ridges = []
-        for p in range(n):
-            ridge = facet[:p] + facet[p + 1:]
-            if ridge not in done:
-                done.add(ridge)
-                open_ridges.append((p, ridge))
-        if not open_ridges:
-            continue
-        # With the facet's vertices as the rows of A, column p of adj A is
-        # orthogonal to every vertex but the p-th, where it takes the value
-        # det A. Scaled by sign(det A), it is a positive multiple of the
-        # ridge direction orthogonal to the normal, pointing towards the
-        # omitted vertex, plus a multiple of the normal: both give the same
-        # meet with the facet hyperplane, hence the same tilt.
-        det, adj = lattice.adjugate([vertices[i] for i in facet])
-        sign = 1 if det > 0 else -1
-        for p, ridge in open_ridges:
-            c = tuple(sign * row[p] for row in adj)
-            tilted, tilted_offset = _tilt(vertices, normal, offset, c,
-                                          vertices[ridge[0]])
-            neighbour = _checked_facet(vertices, tilted, tilted_offset, n)
-            if neighbour not in planes:
-                planes[neighbour] = (tilted, tilted_offset)
-                queue.append(neighbour)
-    return sorted(planes)
+            "the vertices lie in a proper affine subspace") from None
+    out = []
+    for normal, mask in facets:
+        on_plane = tuple(i for i in range(len(vertices)) if mask >> i & 1)
+        if len(on_plane) > n:
+            raise NonSimplicialFacet(
+                f"facet through vertices {on_plane} has {len(on_plane)} "
+                f"vertices in dimension {n}")
+        if normal[-1] <= 0:
+            raise OriginNotInterior(
+                f"facet through vertices {on_plane} does not separate the "
+                "origin strictly from the outside")
+        out.append(on_plane)
+    return sorted(out)
 
 
 def parse_polytope_unchecked(text: str) -> Fan:
@@ -272,7 +180,7 @@ def parse_polytope_unchecked(text: str) -> Fan:
     if m < n + 1:
         raise OriginNotInterior(
             f"{m} vertices cannot enclose the origin in dimension {n}")
-    return make_fan(n, vertices, _facet_walk(vertices, n))
+    return make_fan(n, vertices, _polytope_facets(vertices, n))
 
 
 # ---------------------------------------------------------------------------

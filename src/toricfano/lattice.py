@@ -2,7 +2,9 @@
 
 Everything runs over arbitrary-precision integers and fractions; no floating
 point is used anywhere. Vectors are plain tuples of ints (or Fractions for
-rational results), matrices are sequences of integer rows.
+rational results), matrices are sequences of integer rows. cone_facets,
+the facets of the cone spanned by integer vectors, is the package's one
+convex-hull routine.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def solve_in_basis(basis: Sequence[Sequence[int]],
 def _bareiss(rows: Sequence[Sequence[int]]
              ) -> tuple[list[list[int]], list[int], int, int]:
     """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer
-    matrix, behind adjugate, matrix_rank and integer_kernel.
+    matrix, behind adjugate and matrix_rank.
 
     Returns (reduced rows, pivot columns, sign, d). A column with no
     nonzero entry at or below the next pivot row is skipped. After each
@@ -145,25 +147,63 @@ def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
     return len(_bareiss(rows)[1])
 
 
-def integer_kernel(rows: Sequence[Sequence[int]]) -> list[IntVector]:
-    """A basis of the rational kernel { v : rows * v = 0 }, made of integer
-    vectors: one primitive vector per non-pivot column j of the
-    elimination, in column order.
+def cone_facets(vectors: Sequence[Sequence[int]]
+                ) -> list[tuple[IntVector, int]]:
+    """The facets of the cone spanned by integer vectors that span Q^d, as
+    (primitive inner normal, tight mask) pairs sorted by normal; bit i of
+    the mask is set when vectors[i] lies on the facet. Raises SingularBasis
+    when the vectors do not span. The package's one convex-hull routine.
 
-    Row i of the reduced matrix reads d * v[p_i] + sum_j a[i][j] * v[j]
-    = 0 over the non-pivot columns j, so v[j] = d, v[p_i] = -a[i][j] and
-    zero elsewhere solves it. The vectors need not span the kernel
-    lattice: their span may have finite index in it.
+    A double description of the dual cone { y : v . y >= 0 for every v },
+    whose extreme rays are the facet normals:
+    - it starts from d independent vectors, picked greedily in input
+      order; their dual cone is simplicial, and its rays are the columns
+      of sign(det B) * adj B, each tight at every row of B but one;
+    - each remaining vector v keeps the rays with v . r >= 0 and joins
+      each adjacent pair with v . r_i > 0 > v . r_j into
+      (v . r_i) r_j - (v . r_j) r_i, which is tight where both are and
+      at v;
+    - two rays are adjacent when their common tight set has at least
+      d - 2 members and no third ray's tight set contains it (Fukuda &
+      Prodon 1996).
     """
-    a, pivots, _, d = _bareiss(rows)
-    ncols = len(a[0]) if a else 0
-    basis = []
-    for j in range(ncols):
-        if j in pivots:
+    if not vectors:
+        raise SingularBasis("no vectors to span the space")
+    d = len(vectors[0])
+    basis: list[int] = []
+    for i, v in enumerate(vectors):
+        if len(basis) == d:
+            break
+        if matrix_rank([vectors[j] for j in basis] + [v]) > len(basis):
+            basis.append(i)
+    if len(basis) < d:
+        raise SingularBasis(f"the vectors span a space of dimension "
+                            f"{len(basis)} in Q^{d}")
+    det, adj = adjugate([vectors[j] for j in basis])
+    sign = 1 if det > 0 else -1
+    basis_mask = sum(1 << i for i in basis)
+    rays = [make_primitive([sign * row[k] for row in adj]) for k in range(d)]
+    tight = [basis_mask & ~(1 << i) for i in basis]
+    for ci, v in enumerate(vectors):
+        bit = 1 << ci
+        if basis_mask & bit:
             continue
-        v = [0] * ncols
-        v[j] = d
-        for row, p in zip(a, pivots):
-            v[p] = -row[j]
-        basis.append(make_primitive(v))
-    return basis
+        values = [sum(x * y for x, y in zip(v, r)) for r in rays]
+        positive = [k for k, x in enumerate(values) if x > 0]
+        negative = [k for k, x in enumerate(values) if x < 0]
+        new_rays = [r for r, x in zip(rays, values) if x >= 0]
+        new_tight = [t | bit if x == 0 else t
+                     for t, x in zip(tight, values) if x >= 0]
+        for i in positive:
+            for j in negative:
+                common = tight[i] & tight[j]
+                if common.bit_count() < d - 2 or any(
+                        t & common == common for k, t in enumerate(tight)
+                        if k != i and k != j):
+                    continue
+                new_rays.append(make_primitive(
+                    [values[i] * y - values[j] * x
+                     for x, y in zip(rays[i], rays[j])]))
+                new_tight.append(common | bit)
+        rays, tight = new_rays, new_tight
+    return sorted(zip(rays, tight))

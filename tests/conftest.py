@@ -1,16 +1,18 @@
 """Shared fixtures: the bundled corpus, parsed and validated once, and the
-random fans and the random relabelling plus GL(n, Z) move used by the
-property tests."""
+random fans, the random cones and the random relabelling plus GL(n, Z)
+move used by the property tests."""
 
 from __future__ import annotations
 
 import json
 
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from toricfano.fan import construct_product, make_fan, star_subdivision
 from toricfano.io import parse_fan
+from toricfano.lattice import matrix_rank
 from toricfano.oracle import corpus_directory
 
 
@@ -99,3 +101,41 @@ def drawn_fan(corpus_fans):
     """Hypothesis data -> a corpus fan, a star subdivision of one, or a
     small product of two."""
     return lambda data: _drawn_fan(corpus_fans, data)
+
+
+def _drawn_cone(data):
+    """Integer vectors that span Q^d, 2 <= d <= 4, all on the positive side
+    of one functional, so that their cone is pointed. Either d + 1 to d + 6
+    vectors with entries in [-3, 3], or the cone over a (d - 1)-cube, whose
+    facets are not simplicial for d = 4; then up to three vectors that
+    duplicate, multiply or add earlier ones, and a shuffle."""
+    d = data.draw(st.integers(2, 4))
+    if data.draw(st.booleans()):
+        drawn = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * d),
+                                   min_size=d + 1, max_size=d + 6))
+        functional = data.draw(st.tuples(*[st.integers(-2, 2)] * d))
+        vectors = []
+        for v in drawn:
+            value = sum(a * b for a, b in zip(functional, v))
+            if value:
+                vectors.append(v if value > 0 else tuple(-x for x in v))
+    else:
+        vectors = [(1,)]
+        for _ in range(d - 1):
+            vectors = [(s,) + v for v in vectors for s in (1, -1)]
+    assume(vectors and matrix_rank(vectors) == d)
+    for _ in range(data.draw(st.integers(0, 3))):
+        a = data.draw(st.sampled_from(vectors))
+        b = data.draw(st.sampled_from(vectors))
+        k = data.draw(st.integers(1, 3))
+        kind = data.draw(st.sampled_from(("multiple", "sum")))
+        vectors.append(tuple(k * x for x in a) if kind == "multiple"
+                       else tuple(x + y for x, y in zip(a, b)))
+    return data.draw(st.permutations(vectors))
+
+
+@pytest.fixture(scope="session")
+def drawn_cone():
+    """Hypothesis data -> integer vectors that span Q^d and generate a
+    pointed cone, with duplicate, parallel and redundant generators."""
+    return _drawn_cone

@@ -45,7 +45,7 @@ from toricfano.oracle import (
     oracle_mori_extremals,
     oracle_primitive_collections,
 )
-from toricfano.primitive import all_relations, primitive_collections
+from toricfano.primitive import primitive_collections
 
 HALF_REGIME = {(4, 2): 2, (5, 2): 2, (6, 3): 2, (7, 3): 2}
 HALF_MINUS_ONE_REGIME = {(6, 2): 4, (7, 2): 4, (8, 3): 3, (9, 3): 3,

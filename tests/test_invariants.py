@@ -101,13 +101,13 @@ def test_extremal_membership():
 
 def test_mori_cone_is_computed_once_per_fan(monkeypatch):
     builds = []
-    dual_extreme_rays = invariants._dual_extreme_rays
+    extremal_flags = invariants._extremal_flags
 
-    def counting(constraints, dim):
-        builds.append(dim)
-        return dual_extreme_rays(constraints, dim)
+    def counting(vectors):
+        builds.append(len(vectors[0]))
+        return extremal_flags(vectors)
 
-    monkeypatch.setattr(invariants, "_dual_extreme_rays", counting)
+    monkeypatch.setattr(invariants, "_extremal_flags", counting)
     bl = _del_pezzo_one()
     first = mori_cone_extremal_classes(bl)
     second = mori_cone_extremal_classes(bl)

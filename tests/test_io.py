@@ -26,7 +26,7 @@ from toricfano.fan import (
 from toricfano.fvector import f_vector
 from toricfano.invariants import mukai_check
 from toricfano.io import (
-    _facet_walk,
+    _polytope_facets,
     parse_fan,
     parse_fan_unchecked,
     parse_polytope_unchecked,
@@ -207,7 +207,7 @@ def test_facet_walk_matches_oracle(transformed, data):
         n = fan.dim
         vertices = data.draw(st.permutations(transformed(fan, data).rays))
     expected = _facets_or_error(oracle_facets, vertices, n)
-    got = _facets_or_error(_facet_walk, vertices, n)
+    got = _facets_or_error(_polytope_facets, vertices, n)
     if isinstance(expected, list):
         assert got == expected
     else:
@@ -219,7 +219,7 @@ def test_facet_walk_matches_oracle_on_corpus_polytopes():
     for path in sorted(corpus_directory().glob("*.poly")):
         vertices = _vertices(path.read_text(encoding="utf-8"))
         n = len(vertices[0])
-        assert _facet_walk(vertices, n) == oracle_facets(vertices, n)
+        assert _polytope_facets(vertices, n) == oracle_facets(vertices, n)
 
 
 @pytest.mark.parametrize("vertices, error", [
@@ -250,7 +250,7 @@ def test_segment_is_p1():
 def test_interior_vertex_fails_ray_coverage(tmp_path, capsys):
     triangle = [(3, -1), (-1, 3), (-1, -1)]
     extra = triangle + [(1, 0)]
-    assert _facet_walk(extra, 2) == _facet_walk(triangle, 2)
+    assert _polytope_facets(extra, 2) == _polytope_facets(triangle, 2)
     assert "ray_coverage" in \
         validate(parse_polytope_unchecked(_poly_text(extra))).failed_names
     path = tmp_path / "interior.poly"

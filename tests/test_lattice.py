@@ -1,11 +1,12 @@
-"""Integer linear algebra: adjugates and determinants, rank and kernels
-from the one fraction-free elimination, compared with a Fraction row
-reduction, and the rational solve."""
+"""Integer linear algebra: adjugates, determinants and ranks from the one
+fraction-free elimination, compared with a Fraction row reduction; the
+rational solve; and the facets of drawn cones, compared with a scan of
+vector subsets."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +15,13 @@ from hypothesis import strategies as st
 from toricfano.errors import NotSquare, SingularBasis
 from toricfano.lattice import (
     adjugate,
-    integer_kernel,
+    cone_facets,
     is_primitive,
     make_primitive,
     matrix_rank,
     solve_in_basis,
 )
+from toricfano.oracle import _hyperplane_normal
 
 
 def _det(rows):
@@ -140,20 +142,8 @@ def _matrices(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(m=_matrices())
-def test_rank_and_kernel_match_fraction_elimination(m):
-    rank = _fraction_rank(m)
-    assert matrix_rank(m) == rank
-    kernel = integer_kernel(m)
-    assert len(kernel) == len(m[0]) - rank
-    for vec in kernel:
-        assert len(vec) == len(m[0]) and is_primitive(vec)
-        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in m)
-    assert _fraction_rank(kernel) == len(kernel)
-
-
-def test_integer_kernel_projective_plane_class():
-    assert integer_kernel([[1, 0, -1], [0, 1, -1]]) == [(1, 1, 1)]
-    assert integer_kernel([]) == []
+def test_rank_matches_fraction_elimination(m):
+    assert matrix_rank(m) == _fraction_rank(m)
 
 
 def test_solve_in_basis():
@@ -189,25 +179,53 @@ def test_solve_in_basis_matches_adjugate(basis, data):
             for j in range(n))
 
 
-def test_quotient_projection_basics():
-    # The kernel rows of a unit row map Z^3 onto Z^2, with the row's span
-    # as kernel.
-    q = integer_kernel([(1, 0, 0)])
-    assert len(q) == 2 and all(len(row) == 3 for row in q)
-
-    def apply(v):
-        return [sum(a * b for a, b in zip(row, v)) for row in q]
-
-    # The span direction maps to zero; the map is surjective onto Z^2.
-    assert apply((1, 0, 0)) == [0, 0]
-    image = [apply(v) for v in ((0, 1, 0), (0, 0, 1))]
-    assert _det(image) in (1, -1)
-    # A full span has the zero lattice as quotient.
-    assert integer_kernel([(1, 0), (0, 1)]) == []
-
-
 def test_primitivity_helpers():
     assert is_primitive((1, -1, 0))
     assert not is_primitive((2, -2, 0))
     assert not is_primitive((0, 0))
     assert make_primitive((4, -6, 2)) == (2, -3, 1)
+
+
+def _facets_by_subsets(vectors):
+    """(inner normal, tight mask) of every hyperplane through the origin
+    and d - 1 independent vectors that has every vector on one side."""
+    d = len(vectors[0])
+    found = set()
+    for subset in combinations(vectors, d - 1):
+        normal = _hyperplane_normal([(0,) * d, *subset])
+        if normal is None:
+            continue
+        values = [sum(a * b for a, b in zip(normal, v)) for v in vectors]
+        if min(values) < 0 < max(values):
+            continue
+        if min(values) < 0:
+            normal = tuple(-x for x in normal)
+        found.add((normal, sum(1 << i for i, x in enumerate(values)
+                               if x == 0)))
+    return sorted(found)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cone_facets_match_a_subset_scan(drawn_cone, data):
+    vectors = drawn_cone(data)
+    assert cone_facets(vectors) == _facets_by_subsets(vectors)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cone_facets_reject_vectors_that_do_not_span(drawn_cone, data):
+    vectors = drawn_cone(data)
+    with pytest.raises(SingularBasis):
+        cone_facets([v[:-1] + (0,) for v in vectors])
+
+
+def test_cone_facets_of_small_cones():
+    # The positive quadrant, listed with a duplicate and an inner vector.
+    assert cone_facets([(1, 0), (1, 1), (0, 2), (1, 0)]) == \
+        [((0, 1), 0b1001), ((1, 0), 0b0100)]
+    # A half-plane has one facet, and the whole plane none.
+    assert cone_facets([(1, 0), (-1, 0), (0, 1)]) == [((0, 1), 0b011)]
+    assert cone_facets([(1, 0), (0, 1), (-1, -1)]) == []
+    with pytest.raises(SingularBasis):
+        cone_facets([])

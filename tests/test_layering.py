@@ -1,5 +1,5 @@
 """Module layering of the package: each module imports only the modules
-below it in LAYERS, and only at module top."""
+below it in LAYERS, only at module top, and only names it uses."""
 
 from __future__ import annotations
 
@@ -55,3 +55,20 @@ def test_no_package_import_inside_a_function(module):
             assert not _package_imports(node), \
                 f"{module}.{func.name} imports {_package_imports(node)} " \
                 f"(line {node.lineno})"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_imported_name_is_used(module):
+    tree = _tree(module)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported.items()
+              if name not in used}
+    assert not unused, f"{module} imports unused names {unused}"

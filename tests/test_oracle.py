@@ -98,7 +98,7 @@ def _mori_from_relations(fan):
     classes = sorted({r.class_vector for r in all_relations(fan)})
     coords = [lattice.make_primitive([c[i] for i in outside])
               for c in classes]
-    flags = _extremal_flags(coords, len(outside))
+    flags = _extremal_flags(coords)
     return [c for c, f in zip(classes, flags) if f]
 
 
@@ -120,6 +120,17 @@ def test_relation_classes_give_the_mori_cone_under_relabelling_and_gl_n_z(
     fan = transformed(drawn_fan(data), data)
     assume(is_fano(fan))
     assert _mori_from_relations(fan) == mori_cone_extremal_classes(fan)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_extremal_flags_match_the_simplex_on_drawn_cones(drawn_cone, data):
+    # A vector spans an extreme ray exactly when it is no nonnegative
+    # combination of the vectors off its ray.
+    vectors = drawn_cone(data)
+    for v, flag in zip(vectors, _extremal_flags(vectors)):
+        others = [w for w in vectors if lattice.matrix_rank([v, w]) == 2]
+        assert flag == (not _nonneg_combination_exists(others, v))
 
 
 def test_nonneg_combination_solver():
