@@ -4,21 +4,24 @@ subdivision, and invariant-subvariety (quotient) fans.
 A fan is stored combinatorially: an ambient rank, a tuple of primitive ray
 generators, and the maximal cones as sorted index tuples into the ray list.
 Cone references throughout the package are plain sorted index tuples; the
-empty tuple is the zero cone. Inside this module the cones of one dimension
-also appear as a level: a frozenset of int bit masks, bit i for ray i. One
-sweep walks the levels from the maximal cones down, joining bit masks with
-two adjacent levels alive at a time, and keeps only the cone counts and the
-minimal non-faces; no fan keeps its whole face table. Data derived from a
-fan (that sweep, primitive relations, the wall table, wall curves, the
-adjugate of each maximal cone, the extremal classes of the Mori cone) is
-computed at most once per Fan object through Fan.cached.
+empty tuple is the zero cone. Inside this module a cone is also an int bit
+mask, bit i for ray i: the wall table is keyed by the walls' masks, and the
+cones of one dimension form a level, a set of masks. One sweep walks the
+levels from the maximal cones down, joining the faces in each run of a
+sorted level with two adjacent levels alive at a time, and keeps only the
+cone counts and the minimal non-faces; no fan keeps its whole face table.
+Data derived from a fan (that sweep, primitive relations, the wall table,
+wall curves, the adjugate of each maximal cone, the extremal classes of the
+Mori cone) is computed at most once per Fan object through Fan.cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from itertools import chain, combinations, groupby, islice
+from operator import mul
+from typing import (AbstractSet, Callable, Iterable, Iterator, Sequence,
+                    TypeVar)
 
 from . import lattice
 from .errors import (
@@ -154,20 +157,24 @@ def _check_smoothness(fan: Fan, dets: Sequence[int]) -> CheckResult:
     return CheckResult("smoothness", True)
 
 
-def _walls(fan: Fan) -> dict[ConeRef, tuple[tuple[ConeRef, int], ...]]:
+def _walls(fan: Fan) -> dict[int, tuple]:
     """The wall table, read through fan.cached by validation, the face
-    table and the wall curves: each codimension-1 face (wall) -> the pairs
-    (cone, position) of the maximal cones containing it, in max_cones
-    order, so cone[position] is the cone's ray off the wall."""
-    walls: dict[ConeRef, list[tuple[ConeRef, int]]] = {}
-    for c in fan.max_cones:
-        for p in range(fan.dim):
-            walls.setdefault(c[:p] + c[p + 1:], []).append((c, p))
-    return {wall: tuple(sides) for wall, sides in walls.items()}
+    levels and the wall curves: the bit mask of each codimension-1 face
+    (wall) -> one flat tuple (cone, position, cone, position, ...) of the
+    maximal cones containing it, in max_cones order, so cone[position] is
+    the cone's ray off the wall. A valid fan has two sides per wall."""
+    walls: dict[int, tuple] = {}
+    get = walls.get
+    for c, mask in zip(fan.max_cones, fan.cached(_max_cone_masks)):
+        for p, i in enumerate(c):
+            wall = mask ^ (1 << i)
+            walls[wall] = get(wall, ()) + (c, p)
+    return walls
 
 
 def _check_facet_pairing(fan: Fan) -> CheckResult:
-    bad = sorted(w for w, s in fan.cached(_walls).items() if len(s) != 2)
+    bad = sorted(_rays_of(w) for w, s in fan.cached(_walls).items()
+                 if len(s) != 4)
     if bad:
         return CheckResult(
             "facet_pairing", False,
@@ -175,16 +182,18 @@ def _check_facet_pairing(fan: Fan) -> CheckResult:
     return CheckResult("facet_pairing", True)
 
 
-ConeAdjugate = tuple[int, tuple[IntVector, ...] | None]
+ConeAdjugate = tuple[int, tuple[int, ...] | None]
 
 
 def _cone_adjugates(fan: Fan) -> dict[ConeRef, ConeAdjugate]:
-    """Each maximal cone -> (det, columns of adj) of the matrix whose rows
-    are its rays; the columns are None when det is 0."""
+    """Each maximal cone -> (det, the entries of adj column by column) of
+    the matrix whose rows are its rays; the entries are None when det is
+    0."""
     table = {}
     for c in fan.max_cones:
         det, adj = lattice.adjugate([fan.rays[i] for i in c])
-        table[c] = (det, None if adj is None else tuple(zip(*adj)))
+        table[c] = (det, None if adj is None else
+                    tuple(chain.from_iterable(zip(*adj))))
     return table
 
 
@@ -197,11 +206,12 @@ def _cone_coordinates(fan: Fan, cone: ConeRef,
     The rays are the rows of a matrix A, so the coordinates are
     target * A^-1, and det * A^-1 is adj A.
     """
-    det, columns = fan.cached(_cone_adjugates)[cone]
-    if columns is None:
+    det, entries = fan.cached(_cone_adjugates)[cone]
+    if entries is None:
         raise SingularBasis("basis vectors are linearly dependent")
-    return tuple(sum(a * b for a, b in zip(col, target))
-                 for col in columns), det
+    n = len(target)
+    return tuple(sum(map(mul, entries[k:k + n], target))
+                 for k in range(0, n * n, n)), det
 
 
 def _check_covering_degree(fan: Fan) -> CheckResult:
@@ -228,14 +238,15 @@ def _check_covering_degree(fan: Fan) -> CheckResult:
     """
     n = fan.dim
     table = fan.cached(_cone_adjugates)
-    folded = [((c, q), other, wall) for wall, ((other, p), (c, q))
+    folded = [((c, q), other, wall) for wall, (other, p, c, q)
               in fan.cached(_walls).items()
               if table[other][0] * (-1) ** p == table[c][0] * (-1) ** q]
     if folded:
         (c, _), other, wall = min(folded)
         return CheckResult(
             "covering_degree", False,
-            f"cones {other} and {c} lie on the same side of wall {wall}")
+            f"cones {other} and {c} lie on the same side of wall "
+            f"{_rays_of(wall)}")
     first = fan.max_cones[0]
     point = lattice.vector_sum([fan.rays[i] for i in first], n)
     for c in fan.max_cones[1:]:
@@ -308,19 +319,18 @@ def _max_cone_masks(fan: Fan) -> tuple[int, ...]:
     return tuple(_mask_of(c) for c in fan.max_cones)
 
 
-def _levels(fan: Fan) -> Iterator[frozenset[int]]:
+def _levels(fan: Fan) -> Iterator[AbstractSet[int]]:
     """The cones of each dimension as bit masks, from the maximal cones
-    down to {0}, the zero cone: level dim-1 is the walls of the wall table,
+    down to {0}, the zero cone: level dim-1 is the keys of the wall table,
     and each lower level every face of the level above with one ray
     dropped. Each level is built from the one before, so a caller that
     keeps only the last two holds no more than that."""
-    level = frozenset(fan.cached(_max_cone_masks))
+    level: AbstractSet[int] = set(fan.cached(_max_cone_masks))
     yield level
-    level = frozenset(_mask_of(w) for w in fan.cached(_walls))
+    level = fan.cached(_walls).keys()
     yield level
     for _ in range(fan.dim - 1):
         # _bits inlined: a generator per mask costs a fifth of the sweep.
-        # The set is freed before the yield; only its frozen copy lives on.
         below: set[int] = set()
         add = below.add
         for mask in level:
@@ -329,8 +339,7 @@ def _levels(fan: Fan) -> Iterator[frozenset[int]]:
                 low = rest & -rest
                 add(mask ^ low)
                 rest ^= low
-        level = frozenset(below)
-        del below
+        level = below
         yield level
 
 
@@ -339,35 +348,31 @@ def _face_sweep(fan: Fan) -> tuple[tuple[int, ...], tuple[ConeRef, ...]]:
     f-vector and the primitive collections: (the number of cones of each
     dimension 0..dim, the minimal non-faces in (size, tuple) order).
 
-    The faces of size s-1 are grouped by their rays below the highest, and
-    each pair a < b of highest rays in a group is joined. The join is a
-    minimal non-face iff it is not a face of size s and its one-ray drops
-    other than a and b are all faces of size s-1; dropping a or b gives a
-    face of the group. Every minimal non-face S is found: S minus its
-    highest ray and S minus its second-highest are faces that share the
-    rays below. Only the level of size s-1 and the one above it are alive
-    at a time.
+    The faces of size s-1 that share their rays above the lowest one form
+    a run of the sorted level, and each pair of faces in a run is joined.
+    The join is a minimal non-face iff it is not a face of size s and its
+    one-ray drops other than the two lowest rays are all faces of size
+    s-1; dropping either of those gives a face of the run. Every minimal
+    non-face S is found: S minus its lowest ray and S minus its
+    second-lowest are faces that share the rays above. Only the level of
+    size s-1 and the one above it are alive at a time.
     """
     counts: list[int] = []
     found: list[int] = []
-    above: frozenset[int] = frozenset()
+    above: AbstractSet[int] = frozenset()
     for level in _levels(fan):
         counts.append(len(level))
-        groups: dict[int, list[int]] = {}
-        for face in level:
-            if face:
-                top = 1 << (face.bit_length() - 1)
-                groups.setdefault(face ^ top, []).append(top)
-        for rest, tops in groups.items():
-            if len(tops) < 2:
+        for rest, group in groupby(sorted(level),
+                                   key=lambda f: f & (f - 1)):
+            run = list(group)
+            if len(run) < 2:
                 continue
-            tops.sort()
-            drops = [rest ^ bit for bit in _bits(rest)]
-            for a, b in combinations(tops, 2):
-                pair = a | b
-                if rest | pair not in above and \
-                        all(d | pair in level for d in drops):
-                    found.append(rest | pair)
+            drops = list(_bits(rest))
+            for a, b in combinations(run, 2):
+                join = a | b
+                if join not in above and \
+                        all(join ^ bit in level for bit in drops):
+                    found.append(join)
         above = level
     collections = sorted((_rays_of(mask) for mask in found),
                          key=lambda c: (len(c), c))

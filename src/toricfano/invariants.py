@@ -29,7 +29,7 @@ from .primitive import PrimitiveRelation, all_relations, primitive_collections
 # wall curves
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WallCurve:
     """An invariant curve: a wall with its two opposite rays and the integer
     relation u + v = sum(c_i * x_i) over the wall rays, stored as the class
@@ -42,15 +42,24 @@ class WallCurve:
 
 
 def _wall_curves(fan: Fan) -> tuple[WallCurve, ...]:
-    walls = fan.cached(_walls)
+    """The wall curves in canonical wall order. Walls with the same class
+    vector, or the same opposite rays, share one tuple for it."""
     out = []
     m = len(fan.rays)
-    for wall in sorted(walls):
-        sides = walls[wall]
-        if len(sides) != 2:
+    classes: dict[tuple[int, ...], tuple[int, ...]] = {}
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
+    # A wall's first side slices its ray tuple out of the cone, which is
+    # cheaper than reading the bits of its mask.
+    walls = []
+    for sides in fan.cached(_walls).values():
+        cone, pos = sides[0], sides[1]
+        walls.append((cone[:pos] + cone[pos + 1:], sides))
+    walls.sort()
+    for wall, sides in walls:
+        if len(sides) != 4:
             raise UnpairedWall(
-                f"wall {wall} lies in {len(sides)} maximal cones")
-        (cone_u, pos_u), (cone_v, pos_v) = sides
+                f"wall {wall} lies in {len(sides) // 2} maximal cones")
+        cone_u, pos_u, cone_v, pos_v = sides
         u, v = cone_u[pos_u], cone_v[pos_v]
         basis = [fan.rays[i] for i in wall] + [fan.rays[u]]
         sol = lattice.solve_in_basis(basis, fan.rays[v])
@@ -66,8 +75,11 @@ def _wall_curves(fan: Fan) -> tuple[WallCurve, ...]:
                     f"wall {wall} relation has coefficient {coeff}")
             # u + v = sum(c_i x_i), so the class vector carries -c_i.
             vec[idx] = -int(coeff)
-        degree = sum(vec)
-        out.append(WallCurve(wall, tuple(sorted((u, v))), tuple(vec), degree))
+        relation = tuple(vec)
+        relation = classes.setdefault(relation, relation)
+        pair = (u, v) if u < v else (v, u)
+        pair = pairs.setdefault(pair, pair)
+        out.append(WallCurve(wall, pair, relation, sum(relation)))
     return tuple(out)
 
 

@@ -42,8 +42,9 @@ def primitive_collections(fan: Fan) -> list[Collection]:
 
     They are read off the fan's sweep of its face levels, which runs at
     most once per Fan: Apriori-style joins over bit masks, bit i for ray
-    i, with two adjacent levels alive at a time. fan._face_sweep states
-    the join test and why it finds every minimal non-face.
+    i, of faces that share all but their lowest ray, with two adjacent
+    levels alive at a time. fan._face_sweep states the join test and why
+    it finds every minimal non-face.
     """
     return list(fan.cached(_face_sweep)[1])
 

@@ -201,13 +201,15 @@ def test_wall_table_under_relabelling_and_gl_n_z(drawn_fan, relabelled,
     moved, label = relabelled(fan, data)
     for f in (fan, moved):
         walls = f.cached(fan_module._walls)
-        assert faces(f, f.dim - 1) == sorted(walls)
-        assert [w.wall for w in wall_curves(f)] == sorted(walls)
+        rays = sorted(fan_module._rays_of(wall) for wall in walls)
+        assert faces(f, f.dim - 1) == rays
+        assert [w.wall for w in wall_curves(f)] == rays
         for wall, sides in walls.items():
-            assert len(sides) == 2
-            assert all(c[:p] + c[p + 1:] == wall for c, p in sides)
+            assert len(sides) == 4
+            assert all(fan_module._mask_of(c[:p] + c[p + 1:]) == wall
+                       for c, p in (sides[:2], sides[2:]))
     assert set(moved.cached(fan_module._walls)) == {
-        tuple(sorted(label[i] for i in wall))
+        fan_module._mask_of(label[i] for i in fan_module._rays_of(wall))
         for wall in fan.cached(fan_module._walls)}
 
 
@@ -216,8 +218,9 @@ def _assert_wall_coordinates(fan):
     of u: numerator -det at u and det * c_i at each wall ray x_i, with the
     c_i of the wall curve u + v = sum(c_i * x_i). Checked from both sides."""
     relations = {w.wall: w.relation for w in wall_curves(fan)}
-    for wall, sides in fan.cached(fan_module._walls).items():
-        for (cone_u, pos_u), (cone_v, pos_v) in (sides, sides[::-1]):
+    for mask, sides in fan.cached(fan_module._walls).items():
+        wall = fan_module._rays_of(mask)
+        for cone_u, pos_u, cone_v, pos_v in (sides, sides[2:] + sides[:2]):
             numerators, det = fan_module._cone_coordinates(
                 fan, cone_u, fan.rays[cone_v[pos_v]])
             assert numerators[pos_u] == -det
