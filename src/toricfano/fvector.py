@@ -7,9 +7,11 @@ binomial sums. The engine (ds_tail_from_prefix) knows nothing about those
 sums: it solves the h-vector palindromy equations h_i = h_{n-i} directly.
 Their coefficients depend on n alone, and the system is unimodular, so it
 is inverted once per dimension with lattice.adjugate and each completion
-is one integer matrix-vector product. The closed forms
-are validated against the engine, never trusted; disagreements surface as
-FormulaDiscrepancy records holding both values.
+is one integer matrix-vector product. The closed forms are validated
+against the engine, never trusted; disagreements surface as
+FormulaDiscrepancy records holding both values. The cross-check runs one
+completion per f_0 and moves it along the free count f_{k-1} with the
+engine's own column for that count, since the completion is linear in it.
 """
 
 from __future__ import annotations
@@ -283,8 +285,12 @@ def closed_form_cross_check(
 
     The engine is fed the same hypothesis inputs (binomial prefix, free
     f_{k-1} = C(f_0, k) + offset for each offset in _FK_OFFSETS); both
-    routes must produce identical values. Each tail intercept is read once
-    per f_0 as num / den, so a tail form agrees with the engine value e at
+    routes must produce identical values. The engine runs one completion
+    per f_0, at offset 0. Its completion is linear in f_{k-1}, so each
+    count at an offset is that completion's count plus the offset times
+    the count's dependence on f_{k-1}: column k of the palindromy
+    completion, read once per call. Each tail intercept is read once per
+    f_0 as num / den, so a tail form agrees with the engine value e at
     f_{k-1} = s exactly when (slope * s - e) * den + num == 0: the
     comparison stays in integers, and a Fraction is built only for a
     Discrepancy record.
@@ -294,6 +300,10 @@ def closed_form_cross_check(
     k = n // 2
     if f0_values is None:
         f0_values = range(n + 1, n + 13)
+    # How each count f_{-1}..f_{n-1} moves with the free count f_{k-1}:
+    # the prefix holds it as its last entry, and tail row r of the
+    # palindromy completion (count k + 1 + r) scales it by entry k.
+    column = [0] * k + [1] + [row[k] for row in _palindromy_completion(n)]
     out: list[Discrepancy] = []
     for f0 in f0_values:
         prefix = [comb(f0, j) for j in range(k + 1)]
@@ -306,12 +316,11 @@ def closed_form_cross_check(
                  ("tail_fn3", n - 2, b1, b0.numerator, b0.denominator))
         for off in _FK_OFFSETS:
             s = prefix[k] + off
-            full2 = ds_tail_from_prefix(n, prefix[:k] + [s])
             for formula, i, slope, num, den in forms:
-                if (slope * s - full2[i]) * den + num:
+                e = full[i] + off * column[i]
+                if (slope * s - e) * den + num:
                     out.append(Discrepancy(
-                        formula, (f0, s), slope * s + Fraction(num, den),
-                        full2[i]))
+                        formula, (f0, s), slope * s + Fraction(num, den), e))
     return out
 
 

@@ -36,11 +36,16 @@ from .errors import (
 from .fan import Fan, make_fan, require_valid
 
 
+_LINE_BREAK = re.compile(r"\r\n?|\n")
+
+
 def _significant_lines(text: str) -> list[tuple[int, list[str]]]:
     """(1-based line number, tokens) for every line that is not blank or
-    comment-only."""
+    comment-only. Lines end only at CR LF, CR or LF, the breaks that
+    universal newlines read; str.splitlines() also breaks at NEL, U+2028,
+    VT, FF and others, which would turn the rest of a comment into data."""
     out = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(_LINE_BREAK.split(text), start=1):
         body = raw.split("#", 1)[0].strip()
         if body:
             out.append((number, body.split()))

@@ -209,6 +209,46 @@ def test_injected_broken_tail_intercept_is_caught_at_every_offset(
                    for r in records)
 
 
+def test_engine_completion_is_linear_in_the_free_count():
+    # The cross-check runs one completion per f0 and moves it along
+    # f_{k-1} with column k of the palindromy completion.
+    for n in range(4, 14):
+        k = n // 2
+        column = (0,) * k + (1,) + tuple(
+            row[k] for row in fvector._palindromy_completion(n))
+        for f0 in range(n + 1, n + 61):
+            prefix = [comb(f0, j) for j in range(k + 1)]
+            base = ds_tail_from_prefix(n, prefix)
+            for off in fvector._FK_OFFSETS:
+                assert ds_tail_from_prefix(
+                    n, prefix[:k] + [prefix[k] + off]) == tuple(
+                        x + off * c for x, c in zip(base, column))
+
+
+@pytest.mark.parametrize("n", [5, 8, 9])
+def test_injected_engine_column_error_is_caught_at_every_offset(
+        monkeypatch, n):
+    # Column k of the tail rows off by one adds f_{k-1} = s to every tail
+    # count, so each offset's engine value must differ from the closed
+    # form by its own s, not by the offset-0 value's error.
+    k = n // 2
+    rows = fvector._palindromy_completion(n)
+    broken = tuple(row[:k] + (row[k] + 1,) for row in rows)
+    monkeypatch.setattr(fvector, "_palindromy_completion",
+                        lambda dim: broken)
+    f0_values = range(n + 1, n + 5)
+    records = closed_form_cross_check(n, f0_values=f0_values)
+    expected = []
+    for f0 in f0_values:
+        expected.append(("fk", (f0,)))
+        for off in fvector._FK_OFFSETS:
+            s = comb(f0, k) + off
+            expected += [("tail_fn2", (f0, s)), ("tail_fn3", (f0, s))]
+    assert [(r.formula, r.inputs) for r in records] == expected
+    assert all(r.engine_value - r.closed_value == r.inputs[-1]
+               for r in records if r.formula != "fk")
+
+
 def test_palindromy_completion_requires_a_unimodular_system(monkeypatch):
     adjugate = fvector.lattice.adjugate
 

@@ -111,6 +111,42 @@ def test_overlong_integer_names_the_digit_limit(tmp_path, capsys):
     assert "100000 digits" in err and str(sys.get_int_max_str_digits()) in err
 
 
+# Characters that str.splitlines() treats as line ends but a file read
+# with universal newlines does not: VT, FF, FS, GS, RS, NEL, U+2028, U+2029.
+_NON_BREAKS = {"VT": "\x0b", "FF": "\x0c", "FS": "\x1c", "GS": "\x1d",
+               "RS": "\x1e", "NEL": "\x85", "LS": "\u2028", "PS": "\u2029"}
+
+
+@pytest.mark.parametrize("sep", _NON_BREAKS.values(), ids=_NON_BREAKS)
+@pytest.mark.parametrize("text, parse", [
+    # Without the comment's tail, one cone (vertex) line is missing.
+    ("FAN 2 3 3\n1 0\n0 1\n-1 -1\n0 1\n1 2 # old:{sep}0 2\n",
+     parse_fan_unchecked),
+    ("POLY 2 3\n1 0\n0 1 # old:{sep}-1 -1\n", parse_polytope_unchecked),
+    # `1 -1` on one line is a row of the wrong length.
+    ("FAN 1 2 2\n1{sep}-1\n0\n1\n", parse_fan_unchecked),
+    ("POLY 1 2\n1{sep}-1\n", parse_polytope_unchecked),
+], ids=["fan-comment", "poly-comment", "fan-row", "poly-row"])
+def test_lines_end_only_at_cr_and_lf(text, parse, sep, tmp_path, capsys):
+    text = text.format(sep=sep)
+    with pytest.raises(FanSyntaxError):
+        parse(text)
+    suffix = ".fan" if text.startswith("FAN") else ".poly"
+    path = tmp_path / f"separated{suffix}"
+    path.write_text(text, encoding="utf-8")
+    assert main(["validate", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_cr_lf_and_cr_end_lines(newline):
+    assert parse_fan(PLANE.replace("\n", newline)) == \
+        construct_projective_space(2)
+    assert require_valid(parse_polytope_unchecked(
+        newline.join(["POLY 2 3", "1 0", "0 1 # a comment", "-1 -1"]))) == \
+        construct_projective_space(2)
+
+
 def test_rejected_token_is_echoed_shortened():
     token = "x" * 100_000
     with pytest.raises(FanSyntaxError) as err:
