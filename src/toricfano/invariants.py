@@ -1,10 +1,36 @@
 """Fano test, Picard number, pseudo-index, Mori cone generators, the
 wall-degree sum checks, and the generalized Mukai inequality verdict.
 
-The pseudo-index is computed as the minimum anticanonical degree over the
-torus-invariant curves: every effective curve class of a smooth complete
-toric variety is a nonnegative integer combination of wall classes, so the
-minimum over all rational curves is attained on a wall.
+The pseudo-index iota is the minimum anticanonical degree over the rational
+curves. Every effective curve class of a smooth complete toric variety is
+a nonnegative integer combination of wall classes, so iota is the least
+wall degree. It is read off the primitive relations instead: on a Fano fan
+the least wall degree equals the least primitive-relation degree. Proof.
+Let psi be the function that is linear on each maximal cone and 1 on each
+ray. On a Fano fan it is the gauge of the polytope spanned by the rays,
+so it is convex. For a multiset S of rays, delta(S) = sum(psi(s) for s in
+S) - psi(sum S) is then >= 0 and superadditive, and for a primitive
+collection P, delta(P) is the degree of its relation.
+- Least primitive degree <= each wall degree. Take a wall with
+  u + v = sum(c_i x_i), and let Q be {u, v} plus each x_i with c_i < 0,
+  taken -c_i times. Then sum Q = sum(c_i x_i for c_i > 0) lies in the
+  wall, so delta(Q) = 2 - sum(c_i) is the wall degree. The set of rays in
+  Q is not a cone: if it were, sum Q would lie in its relative interior,
+  a cone that holds u, and also in a face of the wall, which does not.
+  So that set holds a primitive collection P, and
+  deg r(P) = delta(P) <= delta(Q).
+- Each primitive degree >= least wall degree. Let P = {x_1, ..., x_h},
+  a = x_1 and b = x_2 + ... + x_h, which lies in the cone P - {x_1}. So
+  deg r(P) = psi(a) + psi(b) - psi(a + b), twice the gap between the
+  chord of psi over the segment from a to b and psi at its midpoint.
+  Across a wall C with primitive normal l, the linear forms of psi differ
+  by deg(C) * l, so the slope of psi along the segment jumps by
+  deg(C) * |l(b - a)| where it crosses l = 0, and summing over those
+  crossings gives deg r(P) = sum(deg(C_k) * min(|l_k(a)|, |l_k(b)|))
+  over the walls C_k that the segment crosses, after a generic
+  perturbation of a and b. That is a sum of nonnegative integer multiples
+  of wall degrees, all >= 1 by the first part, and it is >= 1 on a Fano
+  fan, so it is at least the least wall degree.
 """
 
 from __future__ import annotations
@@ -103,10 +129,15 @@ def is_fano(fan: Fan) -> bool:
 
 
 def pseudo_index(fan: Fan) -> int:
-    """Minimum anticanonical degree of an invariant curve (Fano fans only)."""
+    """Minimum anticanonical degree of an invariant curve (Fano fans only).
+
+    It is the least degree of a primitive relation, which equals the least
+    wall degree on a Fano fan (see the module docstring), so no wall curve
+    is built. is_fano has already computed the relations.
+    """
     if not is_fano(fan):
         raise NotFano("pseudo-index is only defined for Fano fans")
-    return min(w.anticanonical_degree for w in wall_curves(fan))
+    return min(r.degree for r in all_relations(fan))
 
 
 # ---------------------------------------------------------------------------

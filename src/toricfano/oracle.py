@@ -3,8 +3,10 @@
 The oracles here deliberately share no code with the fast paths they check:
 collections come from full subset enumeration over bitmasks, extremality
 from a rational feasibility solve, face counts from direct subset
-scanning, and polytope facets from trying every n-subset of the vertices
-as a hyperplane. They are slow and simple on purpose.
+scanning, the pseudo-index from the wall relations of every pair of
+adjacent maximal cones solved over Fraction, and polytope facets from
+trying every n-subset of the vertices as a hyperplane. They are slow and
+simple on purpose.
 """
 
 from __future__ import annotations
@@ -17,7 +19,12 @@ from math import comb, gcd, lcm
 from pathlib import Path
 from typing import Sequence
 
-from .errors import NonSimplicialFacet, OriginNotInterior, TooLarge
+from .errors import (
+    NonIntegralCoefficient,
+    NonSimplicialFacet,
+    OriginNotInterior,
+    TooLarge,
+)
 from .fan import (
     Fan,
     construct_product,
@@ -31,7 +38,6 @@ from .invariants import (
     is_fano,
     mori_cone_extremal_classes,
     mukai_check,
-    pseudo_index,
     wall_curves,
 )
 from .io import serialize_fan
@@ -159,6 +165,57 @@ def oracle_f_vector(fan: Fan) -> FVector:
     return FVector(fan.dim, tuple(counts))
 
 
+def _fraction_coordinates(basis: Sequence[Sequence[int]],
+                          target: Sequence[int]) -> list[Fraction] | None:
+    """The coordinates of target in a basis of n integer vectors of length
+    n, by Gauss-Jordan elimination over Fraction; None when the vectors
+    are dependent."""
+    n = len(target)
+    rows = [[Fraction(b[r]) for b in basis] + [Fraction(target[r])]
+            for r in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col][col]
+        rows[col] = [x / p for x in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [row[n] for row in rows]
+
+
+def oracle_pseudo_index(fan: Fan) -> int:
+    """The least wall degree, by definition. Two maximal cones that share
+    n - 1 rays meet in a wall, and their rays u and v off it satisfy
+    u + v = sum(c_i x_i) over the wall rays x_i, solved over Fraction; the
+    wall curve has anticanonical degree 2 - sum(c_i). The fan must be
+    smooth and complete; a wall whose relation is not of that form with
+    integer c_i raises NonIntegralCoefficient."""
+    cones = fan.max_cones
+    if comb(len(cones), 2) > _MAX_ORACLE_SUBSETS:
+        raise TooLarge(f"C({len(cones)}, 2) cone pairs exceeds the oracle "
+                       f"limit {_MAX_ORACLE_SUBSETS}")
+    degrees = []
+    for a, b in combinations(cones, 2):
+        wall = sorted(set(a) & set(b))
+        if len(wall) != fan.dim - 1:
+            continue
+        (u,) = set(a) - set(b)
+        (v,) = set(b) - set(a)
+        coords = _fraction_coordinates(
+            [fan.rays[i] for i in wall] + [fan.rays[u]], fan.rays[v])
+        if coords is None or coords[-1] != -1 or \
+                any(c.denominator != 1 for c in coords):
+            raise NonIntegralCoefficient(
+                f"wall {tuple(wall)} has no relation u + v = sum(c_i x_i) "
+                "with integer c_i")
+        degrees.append(2 - int(sum(coords[:-1])))
+    return min(degrees)
+
+
 def _hyperplane_normal(points: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
     """A primitive integer normal of the hyperplane through n points of
     Z^n, or None when the points are affinely dependent, by integer
@@ -259,7 +316,7 @@ def _fingerprint(fan: Fan) -> dict:
         "ray_count": len(fan.rays),
         "picard_rho": len(fan.rays) - fan.dim,
         "fano": fano,
-        "pseudo_index_iota": pseudo_index(fan) if fano else None,
+        "pseudo_index_iota": oracle_pseudo_index(fan) if fano else None,
         "f_vector": list(f_vector(fan).f),
         "relation_summary": [list(p) for p in degrees_summary(fan)],
         "wall_degrees": sorted(w.anticanonical_degree

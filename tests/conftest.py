@@ -10,8 +10,9 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from toricfano.fan import construct_product, make_fan, star_subdivision
-from toricfano.io import parse_fan
+from toricfano.fan import (construct_product, make_fan, require_valid,
+                           star_subdivision)
+from toricfano.io import parse_fan, parse_polytope_unchecked
 from toricfano.lattice import matrix_rank
 from toricfano.oracle import corpus_directory
 
@@ -24,6 +25,18 @@ def corpus_fans():
     for path in sorted(root.glob("*.fan")):
         fans[path.stem] = parse_fan(path.read_text(encoding="utf-8"))
     assert fans, "bundled corpus is missing"
+    return fans
+
+
+@pytest.fixture(scope="session")
+def all_corpus_fans(corpus_fans):
+    """The 54 corpus `.fan` fans, then the validated face fans of the 3
+    `.poly` files."""
+    polys = [require_valid(parse_polytope_unchecked(
+        path.read_text(encoding="utf-8")))
+        for path in sorted(corpus_directory().glob("*.poly"))]
+    fans = list(corpus_fans.values()) + polys
+    assert len(fans) == 57
     return fans
 
 

@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricfano.cli
+from toricfano import invariants, lattice
 from toricfano.cli import main
+from toricfano.io import parse_fan
 from toricfano.oracle import corpus_directory
 
 PLANE = "FAN 2 3 3\n1 0\n0 1\n-1 -1\n0 1\n1 2\n0 2\n"
@@ -115,6 +117,34 @@ def test_mukai_rejects_non_fano(tmp_path, capsys):
     path.write_text(HIRZEBRUCH)
     assert main(["mukai", str(path)]) == 2
     assert "not Fano" in capsys.readouterr().err
+    # F_3, whose primitive relation of least degree has degree -1.
+    path.write_text(HIRZEBRUCH.replace("-1 2", "-1 3"))
+    assert main(["mukai", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not Fano" in captured.err
+
+
+def test_mukai_solves_only_for_the_point_test(monkeypatch, capsys):
+    # mukai reads iota off the primitive relations, so its only exact
+    # solves are validation's covering-degree point test, one per maximal
+    # cone other than the first, and it builds no wall curve.
+    path = corpus_directory() / "product_1x1x1x1.fan"
+    fan = parse_fan(path.read_text(encoding="utf-8"))
+    solves = []
+    solve_in_basis = lattice.solve_in_basis
+
+    def counting(basis, target):
+        solves.append(tuple(target))
+        return solve_in_basis(basis, target)
+
+    def no_wall_curves(fan):
+        raise AssertionError("mukai built the wall curves")
+
+    monkeypatch.setattr(lattice, "solve_in_basis", counting)
+    monkeypatch.setattr(invariants, "_wall_curves", no_wall_curves)
+    assert main(["mukai", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["factors"] == [1, 1, 1, 1]
+    assert len(solves) == len(fan.max_cones) - 1 == 15
 
 
 def test_bounds_row(capsys):

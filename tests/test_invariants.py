@@ -7,6 +7,8 @@ import tracemalloc
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricfano import invariants
 from toricfano.cli import _invariants_payload
@@ -33,8 +35,8 @@ from toricfano.invariants import (
 from toricfano.primitive import all_relations
 
 
-def _hirzebruch_two():
-    return make_fan(2, [(1, 0), (0, 1), (-1, 2), (0, -1)],
+def _hirzebruch(a):
+    return make_fan(2, [(1, 0), (0, 1), (-1, a), (0, -1)],
                     [(0, 1), (1, 2), (2, 3), (0, 3)])
 
 
@@ -75,10 +77,61 @@ def test_pseudo_index_values():
 
 
 def test_pseudo_index_requires_fano():
-    fan = _hirzebruch_two()
-    assert not is_fano(fan)
-    with pytest.raises(NotFano):
-        pseudo_index(fan)
+    # F_2 has a primitive relation of degree 0, F_3 one of degree -1.
+    for a in (2, 3):
+        fan = _hirzebruch(a)
+        assert min(r.degree for r in all_relations(fan)) == 2 - a
+        assert not is_fano(fan)
+        with pytest.raises(NotFano):
+            pseudo_index(fan)
+
+
+def _least_wall_degree(fan):
+    return min(w.anticanonical_degree for w in wall_curves(fan))
+
+
+def test_pseudo_index_is_the_least_wall_degree_on_the_corpus(
+        all_corpus_fans):
+    for fan in all_corpus_fans:
+        if is_fano(fan):
+            assert pseudo_index(fan) == _least_wall_degree(fan)
+        else:
+            with pytest.raises(NotFano):
+                pseudo_index(fan)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_pseudo_index_is_the_least_wall_degree_under_relabelling_and_gl_n_z(
+        drawn_fan, relabelled, transformed, data):
+    drawn = drawn_fan(data)
+    moved, _ = relabelled(drawn, data)
+    for fan in (drawn, moved, transformed(drawn, data)):
+        if is_fano(fan):
+            assert pseudo_index(fan) == _least_wall_degree(fan)
+        else:
+            with pytest.raises(NotFano):
+                pseudo_index(fan)
+
+
+def test_each_wall_holds_a_primitive_collection_of_no_larger_degree(
+        all_corpus_fans):
+    # The witness of the module docstring's proof: at a wall with
+    # u + v = sum(c_i x_i), the rays u, v and the x_i with c_i < 0 (the
+    # positive entries of the class vector) hold a primitive collection
+    # whose degree is at most the wall's.
+    walls = 0
+    for fan in all_corpus_fans:
+        if not is_fano(fan):
+            continue
+        relations = all_relations(fan)
+        for w in wall_curves(fan):
+            support = {i for i, x in enumerate(w.relation) if x > 0}
+            assert any(set(r.collection) <= support
+                       and r.degree <= w.anticanonical_degree
+                       for r in relations), (fan, w)
+            walls += 1
+    assert walls > 0
 
 
 def test_mori_cone_extremal_class_counts():
@@ -202,5 +255,6 @@ def test_mukai_route_peak_memory_on_a_product_of_lines():
 
 
 def test_mukai_check_requires_fano():
-    with pytest.raises(NotFano):
-        mukai_check(_hirzebruch_two())
+    for a in (2, 3):
+        with pytest.raises(NotFano):
+            mukai_check(_hirzebruch(a))

@@ -9,11 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricfano import lattice
-from toricfano.errors import TooLarge
+from toricfano.errors import NonIntegralCoefficient, TooLarge
 from toricfano.fan import (
     construct_product,
     construct_projective_space,
-    require_valid,
+    make_fan,
     star_subdivision,
 )
 from toricfano.fvector import f_vector
@@ -21,9 +21,9 @@ from toricfano.invariants import (
     _extremal_flags,
     is_fano,
     mori_cone_extremal_classes,
+    pseudo_index,
     wall_curves,
 )
-from toricfano.io import parse_polytope_unchecked
 from toricfano.oracle import (
     _fingerprint,
     _nonneg_combination_exists,
@@ -32,6 +32,7 @@ from toricfano.oracle import (
     oracle_f_vector,
     oracle_mori_extremals,
     oracle_primitive_collections,
+    oracle_pseudo_index,
     write_corpus,
 )
 from toricfano.primitive import all_relations, primitive_collections
@@ -102,14 +103,8 @@ def _mori_from_relations(fan):
     return [c for c, f in zip(classes, flags) if f]
 
 
-def test_relation_classes_give_the_mori_cone_on_the_corpus(corpus_fans):
-    root = corpus_directory()
-    fans = list(corpus_fans.values()) + [
-        require_valid(parse_polytope_unchecked(
-            path.read_text(encoding="utf-8")))
-        for path in sorted(root.glob("*.poly"))]
-    assert len(fans) == 57
-    for fan in fans:
+def test_relation_classes_give_the_mori_cone_on_the_corpus(all_corpus_fans):
+    for fan in all_corpus_fans:
         assert _mori_from_relations(fan) == mori_cone_extremal_classes(fan)
 
 
@@ -133,6 +128,30 @@ def test_extremal_flags_match_the_simplex_on_drawn_cones(drawn_cone, data):
         assert flag == (not _nonneg_combination_exists(others, v))
 
 
+def test_oracle_pseudo_index_agrees_on_the_corpus(all_corpus_fans):
+    fans = [fan for fan in all_corpus_fans + _sample_fans() if is_fano(fan)]
+    assert len(fans) == 61
+    for fan in fans:
+        assert oracle_pseudo_index(fan) == pseudo_index(fan)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_oracle_pseudo_index_agrees_under_relabelling_and_gl_n_z(
+        drawn_fan, transformed, data):
+    fan = transformed(drawn_fan(data), data)
+    assume(is_fano(fan))
+    assert oracle_pseudo_index(fan) == pseudo_index(fan)
+
+
+def test_oracle_pseudo_index_rejects_a_singular_wall():
+    # At the wall (1, 0) of the determinant-2 cone on (1, 0) and (1, 2),
+    # (-1, -1) = -(1, 0) / 2 - (1, 2) / 2.
+    fan = make_fan(2, [(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(NonIntegralCoefficient):
+        oracle_pseudo_index(fan)
+
+
 def test_nonneg_combination_solver():
     assert _nonneg_combination_exists([(1, 0), (0, 1)], (3, 4))
     assert _nonneg_combination_exists([(1, 1), (1, -1)], (2, 0))
@@ -150,6 +169,8 @@ def test_oracle_size_limits():
         oracle_f_vector(big)
     with pytest.raises(TooLarge):
         oracle_mori_extremals(_power_of_line(7))
+    with pytest.raises(TooLarge):
+        oracle_pseudo_index(big)
 
 
 def test_corpus_generation_is_deterministic():
