@@ -1,27 +1,22 @@
-"""The Fan data type: validation, the face levels, constructors, star
-subdivision, and invariant-subvariety (quotient) fans.
+"""The Fan data type: validation, faces, constructors, star subdivision,
+and invariant-subvariety (quotient) fans.
 
 A fan is stored combinatorially: an ambient rank, a tuple of primitive ray
 generators, and the maximal cones as sorted index tuples into the ray list.
 Cone references throughout the package are plain sorted index tuples; the
 empty tuple is the zero cone. Inside this module a cone is also an int bit
-mask, bit i for ray i: the wall table is keyed by the walls' masks, and the
-cones of one dimension form a level, a set of masks. One sweep walks the
-levels from the maximal cones down, joining the faces in each run of a
-sorted level with two adjacent levels alive at a time, and keeps only the
-cone counts and the minimal non-faces; no fan keeps its whole face table.
-Data derived from a fan (that sweep, primitive relations, the wall table,
-wall curves, the adjugate of each maximal cone, the extremal classes of the
-Mori cone) is computed at most once per Fan object through Fan.cached.
+mask, bit i for ray i, and the wall table is keyed by the walls' masks.
+Data derived from a fan (primitive relations, the wall table, wall curves,
+the adjugate of each maximal cone, the extremal classes of the Mori cone)
+is computed at most once per Fan object through Fan.cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, groupby, islice
+from itertools import chain, combinations
 from operator import mul
-from typing import (AbstractSet, Callable, Iterable, Iterator, Sequence,
-                    TypeVar)
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import lattice
 from .errors import (
@@ -158,11 +153,11 @@ def _check_smoothness(fan: Fan, dets: Sequence[int]) -> CheckResult:
 
 
 def _walls(fan: Fan) -> dict[int, tuple]:
-    """The wall table, read through fan.cached by validation, the face
-    levels and the wall curves: the bit mask of each codimension-1 face
-    (wall) -> one flat tuple (cone, position, cone, position, ...) of the
-    maximal cones containing it, in max_cones order, so cone[position] is
-    the cone's ray off the wall. A valid fan has two sides per wall."""
+    """The wall table, read through fan.cached by validation and the wall
+    curves: the bit mask of each codimension-1 face (wall) -> one flat
+    tuple (cone, position, cone, position, ...) of the maximal cones
+    containing it, in max_cones order, so cone[position] is the cone's ray
+    off the wall. A valid fan has two sides per wall."""
     walls: dict[int, tuple] = {}
     get = walls.get
     for c, mask in zip(fan.max_cones, fan.cached(_max_cone_masks)):
@@ -319,76 +314,16 @@ def _max_cone_masks(fan: Fan) -> tuple[int, ...]:
     return tuple(_mask_of(c) for c in fan.max_cones)
 
 
-def _levels(fan: Fan) -> Iterator[AbstractSet[int]]:
-    """The cones of each dimension as bit masks, from the maximal cones
-    down to {0}, the zero cone: level dim-1 is the keys of the wall table,
-    and each lower level every face of the level above with one ray
-    dropped. Each level is built from the one before, so a caller that
-    keeps only the last two holds no more than that."""
-    level: AbstractSet[int] = set(fan.cached(_max_cone_masks))
-    yield level
-    level = fan.cached(_walls).keys()
-    yield level
-    for _ in range(fan.dim - 1):
-        # _bits inlined: a generator per mask costs a fifth of the sweep.
-        below: set[int] = set()
-        add = below.add
-        for mask in level:
-            rest = mask
-            while rest:
-                low = rest & -rest
-                add(mask ^ low)
-                rest ^= low
-        level = below
-        yield level
-
-
-def _face_sweep(fan: Fan) -> tuple[tuple[int, ...], tuple[ConeRef, ...]]:
-    """One pass down the face levels, read through fan.cached by the
-    f-vector and the primitive collections: (the number of cones of each
-    dimension 0..dim, the minimal non-faces in (size, tuple) order).
-
-    The faces of size s-1 that share their rays above the lowest one form
-    a run of the sorted level, and each pair of faces in a run is joined.
-    The join is a minimal non-face iff it is not a face of size s and its
-    one-ray drops other than the two lowest rays are all faces of size
-    s-1; dropping either of those gives a face of the run. Every minimal
-    non-face S is found: S minus its lowest ray and S minus its
-    second-lowest are faces that share the rays above. Only the level of
-    size s-1 and the one above it are alive at a time.
-    """
-    counts: list[int] = []
-    found: list[int] = []
-    above: AbstractSet[int] = frozenset()
-    for level in _levels(fan):
-        counts.append(len(level))
-        for rest, group in groupby(sorted(level),
-                                   key=lambda f: f & (f - 1)):
-            run = list(group)
-            if len(run) < 2:
-                continue
-            drops = list(_bits(rest))
-            for a, b in combinations(run, 2):
-                join = a | b
-                if join not in above and \
-                        all(join ^ bit in level for bit in drops):
-                    found.append(join)
-        above = level
-    collections = sorted((_rays_of(mask) for mask in found),
-                         key=lambda c: (len(c), c))
-    return tuple(reversed(counts)), tuple(collections)
-
-
 def faces(fan: Fan, j: int) -> list[ConeRef]:
     """All distinct j-dimensional cones, as a sorted list of sorted index
-    tuples, found by walking the face levels down from the maximal cones.
+    tuples: the j-subsets of the maximal cones.
 
     faces(fan, 0) is the singleton list holding the zero cone ().
     """
     if not 0 <= j <= fan.dim:
         raise DimensionOutOfRange(f"j={j} outside 0..{fan.dim}")
-    level = next(islice(_levels(fan), fan.dim - j, None))
-    return sorted(_rays_of(mask) for mask in level)
+    return sorted({face for c in fan.max_cones
+                   for face in combinations(c, j)})
 
 
 def is_cone(fan: Fan, ref: Sequence[int]) -> bool:

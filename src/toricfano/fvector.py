@@ -29,8 +29,9 @@ from .errors import (
     InternalInconsistency,
     NonIntegralResult,
     RegimeUnsupported,
+    SingularBasis,
 )
-from .fan import Fan, _face_sweep
+from .fan import Fan, _cone_adjugates, _cone_coordinates
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,41 @@ class FVector:
         return self.f[1]
 
 
+def _face_counts(fan: Fan) -> tuple[int, ...]:
+    """f_{-1}..f_{n-1}, from the h-vector counted on the fan's cached cone
+    adjugates (Fulton 1993, section 5.2).
+
+    Take w = (1, M, ..., M^(n-1)) with M = 2 * max|adjugate entry| + 1.
+    The coordinates of w in the basis of a maximal cone are its adjugate's
+    columns read as base-M numbers with digits in -M/2..M/2, divided by
+    det; no column is zero, so no coordinate is, and w lies on no wall.
+    h_i is the number of maximal cones in whose basis w has exactly i
+    negative coordinates, and f_{j-1} = sum_i C(n-i, j-i) h_i. Counting
+    for -w gives h reversed, so h must be palindromic (Dehn-Sommerville);
+    a fan where it is not raises InternalInconsistency. A cone with
+    dependent rays raises SingularBasis.
+    """
+    n = fan.dim
+    adjugates = fan.cached(_cone_adjugates).values()
+    if any(entries is None for _, entries in adjugates):
+        raise SingularBasis("basis vectors are linearly dependent")
+    base = 2 * max(max(map(abs, entries)) for _, entries in adjugates) + 1
+    w = [base ** j for j in range(n)]
+    h = [0] * (n + 1)
+    for cone in fan.max_cones:
+        nums, det = _cone_coordinates(fan, cone, w)
+        h[sum(x * det < 0 for x in nums)] += 1
+    if not is_palindromic(h):
+        raise InternalInconsistency(f"h-vector {h} is not palindromic")
+    return tuple(sum(comb(n - i, j - i) * h[i] for i in range(j + 1))
+                 for j in range(n + 1))
+
+
 def f_vector(fan: Fan) -> FVector:
-    """Count the cones of each dimension, as read off the fan's sweep of
-    its face levels, which runs at most once per Fan."""
-    return FVector(fan.dim, fan.cached(_face_sweep)[0])
+    """Count the cones of each dimension, from the h-vector of the fan
+    (_face_counts), computed at most once per Fan. The fan must pass
+    validate: the count holds for complete simplicial fans."""
+    return FVector(fan.dim, fan.cached(_face_counts))
 
 
 def euler_relation_holds(fv: FVector) -> bool:

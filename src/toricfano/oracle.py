@@ -3,10 +3,10 @@
 The oracles here deliberately share no code with the fast paths they check:
 collections come from full subset enumeration over bitmasks, extremality
 from a rational feasibility solve, face counts from direct subset
-scanning, the pseudo-index from the wall relations of every pair of
-adjacent maximal cones solved over Fraction, and polytope facets from
-trying every n-subset of the vertices as a hyperplane. They are slow and
-simple on purpose.
+scanning, the wall degrees and the pseudo-index from the wall relations
+of every pair of adjacent maximal cones solved over Fraction, and polytope
+facets from trying every n-subset of the vertices as a hyperplane. They
+are slow and simple on purpose.
 """
 
 from __future__ import annotations
@@ -187,13 +187,14 @@ def _fraction_coordinates(basis: Sequence[Sequence[int]],
     return [row[n] for row in rows]
 
 
-def oracle_pseudo_index(fan: Fan) -> int:
-    """The least wall degree, by definition. Two maximal cones that share
-    n - 1 rays meet in a wall, and their rays u and v off it satisfy
-    u + v = sum(c_i x_i) over the wall rays x_i, solved over Fraction; the
-    wall curve has anticanonical degree 2 - sum(c_i). The fan must be
-    smooth and complete; a wall whose relation is not of that form with
-    integer c_i raises NonIntegralCoefficient."""
+def _wall_degrees(fan: Fan) -> list[int]:
+    """The degree of every wall curve, by definition, in the order of the
+    pairs of maximal cones. Two maximal cones that share n - 1 rays meet
+    in a wall, and their rays u and v off it satisfy u + v = sum(c_i x_i)
+    over the wall rays x_i, solved over Fraction; the wall curve has
+    anticanonical degree 2 - sum(c_i). The fan must be smooth and
+    complete; a wall whose relation is not of that form with integer c_i
+    raises NonIntegralCoefficient."""
     cones = fan.max_cones
     if comb(len(cones), 2) > _MAX_ORACLE_SUBSETS:
         raise TooLarge(f"C({len(cones)}, 2) cone pairs exceeds the oracle "
@@ -213,7 +214,12 @@ def oracle_pseudo_index(fan: Fan) -> int:
                 f"wall {tuple(wall)} has no relation u + v = sum(c_i x_i) "
                 "with integer c_i")
         degrees.append(2 - int(sum(coords[:-1])))
-    return min(degrees)
+    return degrees
+
+
+def oracle_pseudo_index(fan: Fan) -> int:
+    """The least wall degree, by definition, from _wall_degrees."""
+    return min(_wall_degrees(fan))
 
 
 def _hyperplane_normal(points: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
@@ -305,22 +311,19 @@ class CorpusEntry:
 class Corpus:
     entries: tuple[CorpusEntry, ...]
 
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
-
 
 def _fingerprint(fan: Fan) -> dict:
     fano = is_fano(fan)
+    degrees = sorted(_wall_degrees(fan))
     fp = {
         "dimension": fan.dim,
         "ray_count": len(fan.rays),
         "picard_rho": len(fan.rays) - fan.dim,
         "fano": fano,
-        "pseudo_index_iota": oracle_pseudo_index(fan) if fano else None,
+        "pseudo_index_iota": degrees[0] if fano else None,
         "f_vector": list(f_vector(fan).f),
         "relation_summary": [list(p) for p in degrees_summary(fan)],
-        "wall_degrees": sorted(w.anticanonical_degree
-                               for w in wall_curves(fan)),
+        "wall_degrees": degrees,
         "mukai_verdict": mukai_check(fan).equality_case if fano else None,
     }
     return fp

@@ -19,7 +19,7 @@ from .errors import (
     NonIntegralCoefficient,
     NotInSupport,
 )
-from .fan import Fan, _cone_coordinates, _face_sweep
+from .fan import Fan, _bits, _cone_coordinates, _max_cone_masks, _rays_of
 
 Collection = tuple[int, ...]
 
@@ -36,17 +36,45 @@ class PrimitiveRelation:
     class_vector: tuple[int, ...]
 
 
+def _minimal_non_faces(fan: Fan) -> tuple[Collection, ...]:
+    """The minimal non-faces in (size, tuple) order, by Berge's algorithm
+    on bit masks, bit i for ray i.
+
+    A set of rays is a face exactly when it misses the complement of some
+    maximal cone, so the non-faces are the sets that meet every complement
+    and the minimal non-faces are the minimal transversals of the
+    complements. Berge's algorithm takes the complements in turn. Each
+    minimal transversal of those taken so far that meets the next one
+    stays; each that misses it is extended by every ray of it, and an
+    extension is kept unless it holds a transversal that stayed. No
+    extension holds another one, and none lies inside a transversal that
+    stayed, so what is kept is again the minimal transversals.
+    """
+    everything = (1 << len(fan.rays)) - 1
+    minimal = [0]
+    for cone in fan.cached(_max_cone_masks):
+        edge = everything ^ cone
+        stayed = [t for t in minimal if t & edge]
+        missed = [t for t in minimal if not t & edge]
+        minimal = stayed.copy()
+        for bit in _bits(edge):
+            # A set that stayed lies inside t | bit iff it holds bit and
+            # the rest of it lies inside t.
+            rests = [s ^ bit for s in stayed if s & bit]
+            minimal += [t | bit for t in missed
+                        if all(r & t != r for r in rests)]
+    return tuple(sorted((_rays_of(mask) for mask in minimal),
+                        key=lambda c: (len(c), c)))
+
+
 def primitive_collections(fan: Fan) -> list[Collection]:
     """All primitive collections (minimal non-faces), sorted by size then
-    lexicographically.
+    lexicographically; a ray in no maximal cone is one on its own.
 
-    They are read off the fan's sweep of its face levels, which runs at
-    most once per Fan: Apriori-style joins over bit masks, bit i for ray
-    i, of faces that share all but their lowest ray, with two adjacent
-    levels alive at a time. fan._face_sweep states the join test and why
-    it finds every minimal non-face.
+    They are the minimal transversals of the complements of the maximal
+    cones, found at most once per Fan by _minimal_non_faces.
     """
-    return list(fan.cached(_face_sweep)[1])
+    return list(fan.cached(_minimal_non_faces))
 
 
 def primitive_relation(fan: Fan, collection: Sequence[int]) -> PrimitiveRelation:

@@ -16,6 +16,7 @@ from toricfano.errors import (
     InternalInconsistency,
     NotFano,
     RegimeUnsupported,
+    SingularBasis,
 )
 from toricfano.fan import (
     construct_product,
@@ -64,6 +65,19 @@ def _cross_counts(n):
 def test_f_vector_counts():
     assert f_vector(construct_projective_space(3)).f == (1, 4, 6, 4)
     assert f_vector(_power_of_line(3)).f == (1, 6, 12, 8)
+
+
+def test_f_vector_needs_independent_cone_rays():
+    fan = make_fan(2, [(1, 0), (0, 1), (-1, 0), (-1, -1)],
+                   [(0, 1), (0, 2), (1, 3), (2, 3)])
+    with pytest.raises(SingularBasis):
+        f_vector(fan)
+
+
+def test_f_vector_rejects_a_non_palindromic_h_vector():
+    # One quadrant: w lies in the cone, so h = (1, 0, 0).
+    with pytest.raises(InternalInconsistency):
+        f_vector(make_fan(2, [(1, 0), (0, 1)], [(0, 1)]))
 
 
 def test_face_count_conventions():

@@ -229,12 +229,12 @@ def test_mukai_check_strict_and_equality():
     assert report.factors == (7,)
 
 
-# On Python 3.11 the traced peak of the mukai route on (P^1)^9 was 2.6 MB
-# with a wall table keyed by ray tuples, nested adjugate columns, unshared
-# wall classes and a face sweep that grouped each level in a dict of
-# lists, and is 1.4 MB with mask keys, flat adjugates, shared classes and
-# runs of the sorted level. The ceiling lies halfway between.
-MUKAI_PEAK_CEILING_MB = 2.0
+# On Python 3.11 the traced peak of the mukai route and the invariants
+# payload on (P^1)^9 was 1.43 MB with a sweep down the face levels, and is
+# 1.28 MB with the face counts read off the h-vector and the collections
+# found as minimal transversals; the wall curves now set the peak. The
+# ceiling lies halfway between.
+MUKAI_PEAK_CEILING_MB = 1.36
 
 
 def test_mukai_route_peak_memory_on_a_product_of_lines():

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricfano import fan as fan_module
 from toricfano import fvector, primitive
 from toricfano.cli import _invariants_payload
 from toricfano.errors import NonIntegralCoefficient, SingularBasis
@@ -179,26 +178,28 @@ def test_closed_forms_beyond_the_oracle_limit():
     assert f_vector(mixed).f == tuple(f_poly)
 
 
-def test_face_levels_are_swept_once_per_fan(monkeypatch):
-    sweeps = []
-    sweep = fan_module._face_sweep
-
-    def counting(fan):
-        sweeps.append(fan)
-        return sweep(fan)
-
-    for module in (fan_module, fvector, primitive):
-        monkeypatch.setattr(module, "_face_sweep", counting)
+def test_face_counts_and_collections_run_once_per_fan(monkeypatch):
+    calls = {"_face_counts": [], "_minimal_non_faces": []}
+    for module, name in ((fvector, "_face_counts"),
+                         (primitive, "_minimal_non_faces")):
+        def counting(fan, compute=getattr(module, name), log=calls[name]):
+            log.append(fan)
+            return compute(fan)
+        monkeypatch.setattr(module, name, counting)
     fan = _blown_up_product()
     assert f_vector(fan).f == (1, 6, 12, 8)
     assert len(primitive_collections(fan)) == len(all_relations(fan)) == 5
     assert mukai_check(fan).dim_n == 3
     assert _invariants_payload(fan)["f_vector"] == [1, 6, 12, 8]
-    assert sweeps == [fan]
-    # The memo holds the sweep's counts and collections, never a level.
-    for value in fan.__dict__["_cached"].values():
-        parts = value if isinstance(value, tuple) else (value,)
-        assert not any(isinstance(part, (set, frozenset)) for part in parts)
+    assert calls == {"_face_counts": [fan], "_minimal_non_faces": [fan]}
+
+
+def test_a_ray_in_no_maximal_cone_is_a_primitive_collection():
+    # The plane's fan plus the ray (1, 1), which no cone holds.
+    fan = make_fan(2, [(1, 0), (0, 1), (-1, -1), (1, 1)],
+                   [(0, 1), (1, 2), (0, 2)])
+    assert primitive_collections(fan) == \
+        oracle_primitive_collections(fan) == [(3,), (0, 1, 2)]
 
 
 # The fan of the del Pezzo surface of degree 6, over the hexagon.
