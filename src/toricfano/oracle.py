@@ -1,12 +1,13 @@
 """Brute-force reference implementations and the bundled corpus generator.
 
 The oracles here deliberately share no code with the fast paths they check:
-collections come from full subset enumeration over bitmasks, extremality
-from a rational feasibility solve, face counts from direct subset
-scanning, the wall degrees and the pseudo-index from the wall relations
-of every pair of adjacent maximal cones solved over Fraction, and polytope
-facets from trying every n-subset of the vertices as a hyperplane. They
-are slow and simple on purpose.
+collections and face counts from one scan of every subset of the rays as
+bitmasks, extremality from a rational feasibility solve, the wall classes
+from the wall relations of every pair of adjacent maximal cones solved
+over Fraction (their sums give the wall degrees and the pseudo-index, and
+their distinct vectors the Mori cone), and polytope facets from trying
+every n-subset of the vertices as a hyperplane. They are slow and simple
+on purpose.
 """
 
 from __future__ import annotations
@@ -34,44 +35,40 @@ from .fan import (
     validate,
 )
 from .fvector import FVector, f_vector
-from .invariants import (
-    is_fano,
-    mori_cone_extremal_classes,
-    mukai_check,
-    wall_curves,
-)
+from .invariants import is_fano, mori_cone_extremal_classes, mukai_check
 from .io import serialize_fan
 from .primitive import degrees_summary, primitive_collections
 
 _MAX_ORACLE_RAYS = 16
 _MAX_ORACLE_RHO = 6
 _MAX_ORACLE_WALLS = 200
-# As many subsets as the 2^16 that the ray-subset oracles may scan.
+# As many subsets as the 2^16 that the ray-subset scan may visit.
 _MAX_ORACLE_SUBSETS = 1 << 16
 
 
-def oracle_primitive_collections(fan: Fan) -> list[tuple[int, ...]]:
-    """Minimal non-faces by enumerating every subset of the rays."""
+def _oracle_faces(fan: Fan) -> frozenset[int]:
+    """The bitmask of every face, the empty one included, by scanning every
+    subset of the rays for the face property."""
     m = len(fan.rays)
     if m > _MAX_ORACLE_RAYS:
         raise TooLarge(f"{m} rays exceeds the oracle limit "
                        f"{_MAX_ORACLE_RAYS}")
-    cone_masks = []
-    for cone in fan.max_cones:
-        mask = 0
-        for i in cone:
-            mask |= 1 << i
-        cone_masks.append(mask)
+    cone_masks = [sum(1 << i for i in cone) for cone in fan.max_cones]
+    return frozenset(mask for mask in range(1 << m)
+                     if any(mask & ~c == 0 for c in cone_masks))
 
-    def is_face(mask: int) -> bool:
-        return any(mask & ~c == 0 for c in cone_masks)
 
-    non_faces = [mask for mask in range(1, 1 << m) if not is_face(mask)]
-    non_face_set = set(non_faces)
+def oracle_primitive_collections(fan: Fan) -> list[tuple[int, ...]]:
+    """Minimal non-faces: the non-faces whose every one-ray drop is a
+    face."""
+    faces = fan.cached(_oracle_faces)
+    m = len(fan.rays)
     minimal = []
-    for mask in non_faces:
+    for mask in range(1 << m):
+        if mask in faces:
+            continue
         bits = [i for i in range(m) if mask >> i & 1]
-        if all(mask ^ (1 << i) not in non_face_set for i in bits):
+        if all(mask ^ (1 << i) in faces for i in bits):
             minimal.append(tuple(bits))
     return sorted(minimal, key=lambda s: (len(s), s))
 
@@ -134,11 +131,11 @@ def oracle_mori_extremals(fan: Fan) -> list[tuple[int, ...]]:
     if len(fan.rays) - fan.dim > _MAX_ORACLE_RHO:
         raise TooLarge(f"Picard number exceeds the oracle limit "
                        f"{_MAX_ORACLE_RHO}")
-    walls = wall_curves(fan)
+    walls = fan.cached(_wall_classes)
     if len(walls) > _MAX_ORACLE_WALLS:
         raise TooLarge(f"{len(walls)} walls exceeds the oracle limit "
                        f"{_MAX_ORACLE_WALLS}")
-    classes = sorted({w.relation for w in walls})
+    classes = sorted(set(walls))
     out = []
     for i, candidate in enumerate(classes):
         others = [c for j, c in enumerate(classes) if j != i]
@@ -148,20 +145,10 @@ def oracle_mori_extremals(fan: Fan) -> list[tuple[int, ...]]:
 
 
 def oracle_f_vector(fan: Fan) -> FVector:
-    """Face counts by scanning every subset of the rays for the face
-    property."""
-    m = len(fan.rays)
-    if m > _MAX_ORACLE_RAYS:
-        raise TooLarge(f"{m} rays exceeds the oracle limit "
-                       f"{_MAX_ORACLE_RAYS}")
-    cone_sets = [frozenset(c) for c in fan.max_cones]
+    """Face counts as the number of face masks with each number of rays."""
     counts = [0] * (fan.dim + 1)
-    counts[0] = 1
-    for mask in range(1, 1 << m):
-        members = frozenset(i for i in range(m) if mask >> i & 1)
-        if len(members) <= fan.dim and \
-                any(members <= c for c in cone_sets):
-            counts[len(members)] += 1
+    for mask in fan.cached(_oracle_faces):
+        counts[mask.bit_count()] += 1
     return FVector(fan.dim, tuple(counts))
 
 
@@ -187,19 +174,20 @@ def _fraction_coordinates(basis: Sequence[Sequence[int]],
     return [row[n] for row in rows]
 
 
-def _wall_degrees(fan: Fan) -> list[int]:
-    """The degree of every wall curve, by definition, in the order of the
-    pairs of maximal cones. Two maximal cones that share n - 1 rays meet
-    in a wall, and their rays u and v off it satisfy u + v = sum(c_i x_i)
-    over the wall rays x_i, solved over Fraction; the wall curve has
-    anticanonical degree 2 - sum(c_i). The fan must be smooth and
-    complete; a wall whose relation is not of that form with integer c_i
-    raises NonIntegralCoefficient."""
+def _wall_classes(fan: Fan) -> tuple[tuple[int, ...], ...]:
+    """The class vector of every wall curve, by definition, in the order of
+    the pairs of maximal cones. Two maximal cones that share n - 1 rays
+    meet in a wall, and their rays u and v off it satisfy
+    u + v = sum(c_i x_i) over the wall rays x_i, solved over Fraction; the
+    class vector is +1 at u and v and -c_i at the x_i, and its sum
+    2 - sum(c_i) is the wall's anticanonical degree. The fan must be
+    smooth and complete; a wall whose relation is not of that form with
+    integer c_i raises NonIntegralCoefficient."""
     cones = fan.max_cones
     if comb(len(cones), 2) > _MAX_ORACLE_SUBSETS:
         raise TooLarge(f"C({len(cones)}, 2) cone pairs exceeds the oracle "
                        f"limit {_MAX_ORACLE_SUBSETS}")
-    degrees = []
+    classes = []
     for a, b in combinations(cones, 2):
         wall = sorted(set(a) & set(b))
         if len(wall) != fan.dim - 1:
@@ -213,13 +201,17 @@ def _wall_degrees(fan: Fan) -> list[int]:
             raise NonIntegralCoefficient(
                 f"wall {tuple(wall)} has no relation u + v = sum(c_i x_i) "
                 "with integer c_i")
-        degrees.append(2 - int(sum(coords[:-1])))
-    return degrees
+        vec = [0] * len(fan.rays)
+        vec[u] = vec[v] = 1
+        for i, c in zip(wall, coords):
+            vec[i] = -int(c)
+        classes.append(tuple(vec))
+    return tuple(classes)
 
 
 def oracle_pseudo_index(fan: Fan) -> int:
-    """The least wall degree, by definition, from _wall_degrees."""
-    return min(_wall_degrees(fan))
+    """The least wall degree, by definition, from _wall_classes."""
+    return min(sum(c) for c in fan.cached(_wall_classes))
 
 
 def _hyperplane_normal(points: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
@@ -314,14 +306,14 @@ class Corpus:
 
 def _fingerprint(fan: Fan) -> dict:
     fano = is_fano(fan)
-    degrees = sorted(_wall_degrees(fan))
+    degrees = sorted(sum(c) for c in fan.cached(_wall_classes))
     fp = {
         "dimension": fan.dim,
         "ray_count": len(fan.rays),
         "picard_rho": len(fan.rays) - fan.dim,
         "fano": fano,
         "pseudo_index_iota": degrees[0] if fano else None,
-        "f_vector": list(f_vector(fan).f),
+        "f_vector": list(oracle_f_vector(fan).f),
         "relation_summary": [list(p) for p in degrees_summary(fan)],
         "wall_degrees": degrees,
         "mukai_verdict": mukai_check(fan).equality_case if fano else None,
@@ -340,7 +332,7 @@ def _cross_check(name: str, fan: Fan) -> None:
         if oracle_f_vector(fan) != f_vector(fan):
             raise AssertionError(f"{name}: face counts disagree")
     if len(fan.rays) - fan.dim <= _MAX_ORACLE_RHO and \
-            len(wall_curves(fan)) <= _MAX_ORACLE_WALLS:
+            len(fan.cached(_wall_classes)) <= _MAX_ORACLE_WALLS:
         fast_ext = sorted(mori_cone_extremal_classes(fan))
         slow_ext = sorted(oracle_mori_extremals(fan))
         if fast_ext != slow_ext:

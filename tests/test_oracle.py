@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toricfano import lattice
+from toricfano import invariants, lattice
 from toricfano.errors import NonIntegralCoefficient, TooLarge
 from toricfano.fan import (
     construct_product,
@@ -171,6 +171,41 @@ def test_oracle_size_limits():
         oracle_mori_extremals(_power_of_line(7))
     with pytest.raises(TooLarge):
         oracle_pseudo_index(big)
+
+
+def _refuse_fast_walls(monkeypatch):
+    def refuse(fan):
+        raise AssertionError("an oracle read the fast wall curves")
+    monkeypatch.setattr(invariants, "_wall_curves", refuse)
+
+
+def _blown_up_product():
+    """P^2 x P^1 blown up along the curve of the cone on its first two
+    rays: a Fano fan that is no product of projective spaces."""
+    fan = construct_product(construct_projective_space(2),
+                            construct_projective_space(1))
+    return star_subdivision(fan, (0, 1))
+
+
+def test_oracles_build_their_own_wall_classes(monkeypatch):
+    fan = _blown_up_product()
+    assert is_fano(fan)
+    expected = (oracle_mori_extremals(fan), oracle_pseudo_index(fan),
+                _fingerprint(fan))
+    _refuse_fast_walls(monkeypatch)
+    fresh = _blown_up_product()
+    assert (oracle_mori_extremals(fresh), oracle_pseudo_index(fresh),
+            _fingerprint(fresh)) == expected
+
+
+def test_oracle_mori_extremals_counts_its_own_walls(monkeypatch):
+    # (P^1)^5 x P^2: rho 6, within the rho limit, but 96 cones of
+    # dimension 7 meet in 96 * 7 / 2 = 336 walls.
+    fan = construct_product(_power_of_line(5), construct_projective_space(2))
+    assert len(fan.rays) - fan.dim == 6
+    _refuse_fast_walls(monkeypatch)
+    with pytest.raises(TooLarge, match="336 walls"):
+        oracle_mori_extremals(fan)
 
 
 def test_corpus_generation_is_deterministic():
