@@ -31,7 +31,7 @@ from .errors import (
     RegimeUnsupported,
     SingularBasis,
 )
-from .fan import Fan, _cone_adjugates, _cone_coordinates
+from .fan import Fan, _cone_adjugates
 
 
 @dataclass(frozen=True)
@@ -59,26 +59,27 @@ def _face_counts(fan: Fan) -> tuple[int, ...]:
     """f_{-1}..f_{n-1}, from the h-vector counted on the fan's cached cone
     adjugates (Fulton 1993, section 5.2).
 
-    Take w = (1, M, ..., M^(n-1)) with M = 2 * max|adjugate entry| + 1.
-    The coordinates of w in the basis of a maximal cone are its adjugate's
-    columns read as base-M numbers with digits in -M/2..M/2, divided by
-    det; no column is zero, so no coordinate is, and w lies on no wall.
-    h_i is the number of maximal cones in whose basis w has exactly i
-    negative coordinates, and f_{j-1} = sum_i C(n-i, j-i) h_i. Counting
-    for -w gives h reversed, so h must be palindromic (Dehn-Sommerville);
-    a fan where it is not raises InternalInconsistency. A cone with
-    dependent rays raises SingularBasis.
+    Take w = (1, M, ..., M^(n-1)) for a large M. Its coordinate k in the
+    basis of a maximal cone is column k of the adjugate read as a base-M
+    number, over det, so its sign is that of det times the column's last
+    nonzero entry: the signs are read lexicographically, and no column of
+    an invertible adjugate is zero, so w lies on no wall. h_i is the
+    number of maximal cones in whose basis w has exactly i negative
+    coordinates, and f_{j-1} = sum_i C(n-i, j-i) h_i. Counting for -w
+    gives h reversed, so h must be palindromic (Dehn-Sommerville); a fan
+    where it is not raises InternalInconsistency. A cone with dependent
+    rays raises SingularBasis.
     """
     n = fan.dim
-    adjugates = fan.cached(_cone_adjugates).values()
-    if any(entries is None for _, entries in adjugates):
+    table = fan.cached(_cone_adjugates)
+    if any(entries is None for _, entries in table.values()):
         raise SingularBasis("basis vectors are linearly dependent")
-    base = 2 * max(max(map(abs, entries)) for _, entries in adjugates) + 1
-    w = [base ** j for j in range(n)]
     h = [0] * (n + 1)
     for cone in fan.max_cones:
-        nums, det = _cone_coordinates(fan, cone, w)
-        h[sum(x * det < 0 for x in nums)] += 1
+        det, entries = table[cone]
+        lasts = (next(x for x in reversed(entries[k:k + n]) if x)
+                 for k in range(0, n * n, n))
+        h[sum(x * det < 0 for x in lasts)] += 1
     if not is_palindromic(h):
         raise InternalInconsistency(f"h-vector {h} is not palindromic")
     return tuple(sum(comb(n - i, j - i) * h[i] for i in range(j + 1))

@@ -214,7 +214,7 @@ def small_codim_contractible(fan: Fan) -> SmallCodimSearch:
     hypothesis = 4 * iota > fan.dim + 4
     hit = None
     for r in all_relations(fan):
-        if r.degree < 2 * iota and len(r.targets) <= iota - 2:
+        if contractible_sufficient(fan, r) and len(r.targets) <= iota - 2:
             hit = r
             break
     return SmallCodimSearch(hypothesis, hit,
@@ -245,9 +245,11 @@ def product_of_projective_spaces(fan: Fan) -> list[int] | None:
     """Factor dimensions if the fan is a product of projective-space fans.
 
     Recognition is purely combinatorial: the primitive collections must be
-    pairwise disjoint with zero-sum relations, partition the rays, and the
-    maximal cones must be exactly the transversal unions (one facet choice
-    per factor).
+    pairwise disjoint with zero-sum relations and partition the rays.
+    They are the minimal non-faces of the maximal cones, which fix a
+    simplicial complex, so the maximal cones are then the transversal
+    unions (one ray left out of each collection); counting them rejects a
+    cone listed twice.
     """
     collections = primitive_collections(fan)
     covered: set[int] = set()
@@ -266,11 +268,6 @@ def product_of_projective_spaces(fan: Fan) -> list[int] | None:
         expected_cones *= h
     if len(fan.max_cones) != expected_cones:
         return None
-    for cone in fan.max_cones:
-        cone_set = set(cone)
-        # A transversal union omits exactly one ray of each collection.
-        if any(len(cone_set & set(c)) != len(c) - 1 for c in collections):
-            return None
     return sorted(h - 1 for h in orders)
 
 

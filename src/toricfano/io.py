@@ -98,9 +98,8 @@ def _take_rows(lines: list[tuple[int, list[str]]], start: int, count: int,
     rows = []
     for i in range(count):
         if start + i >= len(lines):
-            last = lines[-1][0] if lines else 1
-            raise FanSyntaxError(last + 1, f"expected {count} {what} lines, "
-                                           f"found {i}")
+            raise FanSyntaxError(lines[-1][0] + 1, f"expected {count} "
+                                 f"{what} lines, found {i}")
         line, tokens = lines[start + i]
         if len(tokens) != arity:
             raise FanSyntaxError(line, f"{what} line needs {arity} integers, "

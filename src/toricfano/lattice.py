@@ -78,7 +78,7 @@ def solve_in_basis(basis: Sequence[Sequence[int]],
 def _bareiss(rows: Sequence[Sequence[int]]
              ) -> tuple[list[list[int]], list[int], int, int]:
     """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer
-    matrix, behind adjugate and matrix_rank.
+    matrix, behind adjugate, matrix_rank and cone_facets.
 
     Returns (reduced rows, pivot columns, sign, d). A column with no
     nonzero entry at or below the next pivot row is skipped. After each
@@ -156,8 +156,9 @@ def cone_facets(vectors: Sequence[Sequence[int]]
 
     A double description of the dual cone { y : v . y >= 0 for every v },
     whose extreme rays are the facet normals:
-    - it starts from d independent vectors, picked greedily in input
-      order; their dual cone is simplicial, and its rays are the columns
+    - it starts from the first d independent vectors in input order, the
+      pivot columns of one Bareiss elimination with the vectors as
+      columns; their dual cone is simplicial, and its rays are the columns
       of sign(det B) * adj B, each tight at every row of B but one;
     - each remaining vector v keeps the rays with v . r >= 0 and joins
       each adjacent pair with v . r_i > 0 > v . r_j into
@@ -170,12 +171,7 @@ def cone_facets(vectors: Sequence[Sequence[int]]
     if not vectors:
         raise SingularBasis("no vectors to span the space")
     d = len(vectors[0])
-    basis: list[int] = []
-    for i, v in enumerate(vectors):
-        if len(basis) == d:
-            break
-        if matrix_rank([vectors[j] for j in basis] + [v]) > len(basis):
-            basis.append(i)
+    basis = _bareiss(list(zip(*vectors)))[1]
     if len(basis) < d:
         raise SingularBasis(f"the vectors span a space of dimension "
                             f"{len(basis)} in Q^{d}")

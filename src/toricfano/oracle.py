@@ -4,10 +4,10 @@ The oracles here deliberately share no code with the fast paths they check:
 collections and face counts from one scan of every subset of the rays as
 bitmasks, extremality from a rational feasibility solve, the wall classes
 from the wall relations of every pair of adjacent maximal cones solved
-over Fraction (their sums give the wall degrees and the pseudo-index, and
-their distinct vectors the Mori cone), and polytope facets from trying
-every n-subset of the vertices as a hyperplane. They are slow and simple
-on purpose.
+over Fraction (their sums give the wall degrees, the pseudo-index and the
+Fano test, and their distinct vectors the Mori cone), and polytope facets
+from trying every n-subset of the vertices as a hyperplane. They are slow
+and simple on purpose.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .fan import (
     validate,
 )
 from .fvector import FVector, f_vector
-from .invariants import is_fano, mori_cone_extremal_classes, mukai_check
+from .invariants import mori_cone_extremal_classes, mukai_check
 from .io import serialize_fan
 from .primitive import degrees_summary, primitive_collections
 
@@ -305,8 +305,9 @@ class Corpus:
 
 
 def _fingerprint(fan: Fan) -> dict:
-    fano = is_fano(fan)
     degrees = sorted(sum(c) for c in fan.cached(_wall_classes))
+    # Toric Kleiman criterion: -K is ample iff -K . C > 0 on every wall.
+    fano = degrees[0] >= 1
     fp = {
         "dimension": fan.dim,
         "ray_count": len(fan.rays),
@@ -396,7 +397,7 @@ def generate_corpus() -> Corpus:
         for _, fan in frontier:
             for sigma in fan.max_cones:
                 candidate = star_subdivision(fan, sigma)
-                if not is_fano(candidate):
+                if oracle_pseudo_index(candidate) < 1:
                     continue
                 key = json.dumps(_fingerprint(candidate), sort_keys=True)
                 if key in seen:

@@ -208,6 +208,24 @@ def test_product_recognition():
     assert product_of_projective_spaces(_del_pezzo_one()) is None
     triple = construct_product(construct_product(p1, p2), p2)
     assert product_of_projective_spaces(triple) == [1, 2, 2]
+    # (P^1)^2 with a maximal cone listed twice: the collections pass, and
+    # only the cone count rejects it.
+    square = construct_product(p1, p1)
+    twice = make_fan(2, square.rays, square.max_cones + square.max_cones[:1])
+    assert product_of_projective_spaces(twice) is None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_product_recognition_under_relabelling_and_gl_n_z(relabelled,
+                                                          transformed, data):
+    parts = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    drawn = construct_projective_space(parts[0])
+    for a in parts[1:]:
+        drawn = construct_product(drawn, construct_projective_space(a))
+    moved, _ = relabelled(drawn, data)
+    for fan in (drawn, moved, transformed(drawn, data)):
+        assert product_of_projective_spaces(fan) == sorted(parts)
 
 
 def test_mukai_check_strict_and_equality():

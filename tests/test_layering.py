@@ -1,5 +1,6 @@
 """Module layering of the package: each module imports only the modules
-below it in LAYERS, only at module top, and only names it uses."""
+below it in LAYERS, only at module top, and only names it uses; and every
+module-level private name is used somewhere in the package."""
 
 from __future__ import annotations
 
@@ -72,3 +73,35 @@ def test_every_imported_name_is_used(module):
     unused = {name: line for name, line in imported.items()
               if name not in used}
     assert not unused, f"{module} imports unused names {unused}"
+
+
+def _top_level_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [t.id for target in targets for t in ast.walk(target)
+            if isinstance(t, ast.Name)]
+
+
+def _mentioned(node: ast.AST) -> set[str]:
+    """The names and attribute names that a statement mentions."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | \
+        {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def test_every_private_name_is_used():
+    # The statement that defines a name is no use of it, so a helper that
+    # loses its last caller shows up here.
+    statements = [(p.stem, top) for p in sorted(PACKAGE.glob("*.py"))
+                  for top in ast.parse(p.read_text(encoding="utf-8")).body]
+    mentioned = [_mentioned(top) for _, top in statements]
+    unused = [f"{module}.{name}"
+              for i, (module, top) in enumerate(statements)
+              for name in _top_level_names(top)
+              if name.startswith("_") and not name.startswith("__")
+              and not any(name in m for j, m in enumerate(mentioned)
+                          if j != i)]
+    assert not unused, f"private names with no use: {unused}"

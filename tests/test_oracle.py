@@ -85,7 +85,9 @@ def test_oracle_agrees_under_relabelling_and_gl_n_z(drawn_fan, transformed,
     if len(fan.rays) - fan.dim <= 6 and len(wall_curves(fan)) <= 200:
         assert sorted(mori_cone_extremal_classes(fan)) == \
             sorted(oracle_mori_extremals(fan))
-    assert _fingerprint(fan) == _fingerprint(drawn)
+    fingerprint = _fingerprint(fan)
+    assert fingerprint == _fingerprint(drawn)
+    assert fingerprint["fano"] == is_fano(fan)
 
 
 def _mori_from_relations(fan):
@@ -142,6 +144,20 @@ def test_oracle_pseudo_index_agrees_under_relabelling_and_gl_n_z(
     fan = transformed(drawn_fan(data), data)
     assume(is_fano(fan))
     assert oracle_pseudo_index(fan) == pseudo_index(fan)
+
+
+def _hirzebruch(a):
+    return make_fan(2, [(1, 0), (0, 1), (-1, a), (0, -1)],
+                    [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def test_oracle_fano_agrees_on_the_corpus_and_hirzebruch_surfaces(
+        all_corpus_fans):
+    hirzebruch = [_hirzebruch(a) for a in range(4)]
+    assert [_fingerprint(fan)["fano"] for fan in hirzebruch] == \
+        [True, True, False, False]
+    for fan in all_corpus_fans + hirzebruch:
+        assert _fingerprint(fan)["fano"] == is_fano(fan)
 
 
 def test_oracle_pseudo_index_rejects_a_singular_wall():
