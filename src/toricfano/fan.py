@@ -404,8 +404,9 @@ class QuotientFan:
 def invariant_subvariety_fan(fan: Fan, sigma: Sequence[int]) -> QuotientFan:
     """The fan of the invariant subvariety V(sigma) in the quotient lattice.
 
-    Rays are the primitive projections of the rays u with sigma + {u} a cone;
-    maximal cones are the projections of the maximal cones containing sigma.
+    Rays are the primitive projections of the rays u with sigma + {u} a cone,
+    which are the rays outside sigma of the maximal cones containing sigma;
+    maximal cones are the projections of those cones.
     """
     sigma = tuple(sorted(sigma))
     if len(sigma) < 1 or not is_cone(fan, sigma):
@@ -414,30 +415,26 @@ def invariant_subvariety_fan(fan: Fan, sigma: Sequence[int]) -> QuotientFan:
     if k >= fan.dim:
         raise DimensionOutOfRange("quotient rank would be zero")
     sigma_set = set(sigma)
+    containing = [c for c in fan.max_cones if sigma_set.issubset(c)]
     # The coordinates at the positions outside sigma, in the basis of a
     # maximal cone containing sigma, map N onto N(sigma), the quotient of N
     # by the lattice points in the real span of sigma, when that cone is
     # unimodular, as on a valid fan. The adjugate gives them times det,
     # which is +-1 there.
-    cone = next(c for c in fan.max_cones if sigma_set.issubset(c))
+    cone = containing[0]
     if fan.cached(_cone_adjugates)[cone][0] == 0:
         raise DependentSpan(f"the rays of cone {cone} are linearly dependent")
     outside = [p for p, i in enumerate(cone) if i not in sigma_set]
-    star_rays: list[int] = []
     projected: dict[int, IntVector] = {}
-    for u in range(len(fan.rays)):
-        if u in sigma_set:
-            continue
-        if is_cone(fan, sigma + (u,)):
-            nums, _ = _cone_coordinates(fan, cone, fan.rays[u])
-            # On a valid fan the image is already primitive.
-            projected[u] = lattice.make_primitive([nums[p] for p in outside])
-            star_rays.append(u)
-    order = sorted(star_rays, key=lambda u: projected[u])
+    for u in sorted({u for c in containing for u in c} - sigma_set):
+        nums, _ = _cone_coordinates(fan, cone, fan.rays[u])
+        # On a valid fan the image is already primitive.
+        projected[u] = lattice.make_primitive([nums[p] for p in outside])
+    order = sorted(projected, key=lambda u: projected[u])
     new_rays = [projected[u] for u in order]
     newpos = {u: i for i, u in enumerate(order)}
     cones = [tuple(sorted(newpos[u] for u in c if u not in sigma_set))
-             for c in fan.max_cones if sigma_set.issubset(c)]
+             for c in containing]
     quotient = make_fan(fan.dim - k, new_rays, cones)
     # make_fan re-sorts rays; new_rays is already sorted, so indices line up.
     assert quotient.rays == tuple(new_rays)

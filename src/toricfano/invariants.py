@@ -145,12 +145,19 @@ def pseudo_index(fan: Fan) -> int:
 
 def _extremal_flags(vectors: list[tuple[int, ...]]) -> list[bool]:
     """For each vector, whether it spans an extreme ray of the cone generated
-    by all of them: whether the facet normals tight on it have rank d - 1.
-    The vectors must span Q^d."""
-    d = len(vectors[0])
+    by all of them; the vectors must be nonzero and span Q^d.
+
+    The least face through a vector is cut out by the facets through it. A
+    face of dimension >= 2 has an extreme ray, which lies on more facets. A
+    cone that holds a line l has a vector on every facet: any with positive
+    weight in l + (-l) = 0. So a vector spans an extreme ray exactly when
+    some facet misses it and no other vector lies on a strictly larger set
+    of facets."""
     facets = lattice.cone_facets(vectors)
-    return [lattice.matrix_rank([f for f, mask in facets if mask >> i & 1])
-            == d - 1 for i in range(len(vectors))]
+    on = [sum(1 << k for k, (_, mask) in enumerate(facets) if mask >> i & 1)
+          for i in range(len(vectors))]
+    return [t.bit_count() < len(facets)
+            and not any(u != t and u & t == t for u in on) for t in on]
 
 
 def _mori_extremals(fan: Fan) -> tuple[tuple[int, ...], ...]:

@@ -78,7 +78,7 @@ def solve_in_basis(basis: Sequence[Sequence[int]],
 def _bareiss(rows: Sequence[Sequence[int]]
              ) -> tuple[list[list[int]], list[int], int, int]:
     """Fraction-free (Bareiss) Gauss-Jordan elimination of an integer
-    matrix, behind adjugate, matrix_rank and cone_facets.
+    matrix, behind adjugate and cone_facets.
 
     Returns (reduced rows, pivot columns, sign, d). A column with no
     nonzero entry at or below the next pivot row is skipped. After each
@@ -141,10 +141,6 @@ def adjugate(rows: Sequence[Sequence[int]]
     if pivots != list(range(n)):
         return 0, None
     return sign * d, [[sign * x for x in row[n:]] for row in a]
-
-
-def matrix_rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(_bareiss(rows)[1])
 
 
 def cone_facets(vectors: Sequence[Sequence[int]]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from toricfano import invariants
 from toricfano.cli import _invariants_payload
-from toricfano.errors import NotFano, UnpairedWall
+from toricfano.errors import NotFano, SingularBasis, UnpairedWall
 from toricfano.fan import (
     construct_product,
     construct_projective_space,
@@ -155,6 +155,17 @@ def test_extremal_membership():
         assert is_extremal(bl, cls)
     summed = tuple(a + b for a, b in zip(classes[0], classes[1]))
     assert not is_extremal(bl, summed)
+
+
+def test_extremal_flags_of_small_cones():
+    # The positive quadrant, with an inner vector and its double.
+    assert invariants._extremal_flags([(1, 0), (0, 1), (1, 1), (2, 2)]) == \
+        [True, True, False, False]
+    # A half-plane holds the line through (1, 0), so it has no extreme ray.
+    assert invariants._extremal_flags([(1, 0), (-1, 0), (0, 1)]) == \
+        [False, False, False]
+    with pytest.raises(SingularBasis):
+        invariants._extremal_flags([])
 
 
 def test_mori_cone_is_computed_once_per_fan(monkeypatch):

@@ -1,6 +1,7 @@
 """Module layering of the package: each module imports only the modules
-below it in LAYERS, only at module top, and only names it uses; and every
-module-level private name is used somewhere in the package."""
+below it in LAYERS, only at module top, and only names it uses; every
+module-level private name is used somewhere in the package; and every
+public function and class of the layers below io is exported or used."""
 
 from __future__ import annotations
 
@@ -92,16 +93,36 @@ def _mentioned(node: ast.AST) -> set[str]:
         {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
 
 
-def test_every_private_name_is_used():
-    # The statement that defines a name is no use of it, so a helper that
-    # loses its last caller shows up here.
+def _unmentioned(wanted) -> list[str]:
+    """module.name for each module-level name that wanted(module, statement,
+    name) selects and that no other package statement mentions. The
+    statement that defines a name is no use of it, so a helper that loses
+    its last caller shows up here."""
     statements = [(p.stem, top) for p in sorted(PACKAGE.glob("*.py"))
                   for top in ast.parse(p.read_text(encoding="utf-8")).body]
     mentioned = [_mentioned(top) for _, top in statements]
-    unused = [f"{module}.{name}"
-              for i, (module, top) in enumerate(statements)
-              for name in _top_level_names(top)
-              if name.startswith("_") and not name.startswith("__")
-              and not any(name in m for j, m in enumerate(mentioned)
-                          if j != i)]
+    return [f"{module}.{name}"
+            for i, (module, top) in enumerate(statements)
+            for name in _top_level_names(top)
+            if wanted(module, top, name)
+            and not any(name in m for j, m in enumerate(mentioned)
+                        if j != i)]
+
+
+def test_every_private_name_is_used():
+    unused = _unmentioned(lambda module, top, name: name.startswith("_")
+                          and not name.startswith("__"))
     assert not unused, f"private names with no use: {unused}"
+
+
+def test_every_public_name_is_exported_or_used():
+    # io and oracle hold entry points for users and tests, such as
+    # parse_fan and write_corpus, so they are left out.
+    exported = {alias.asname or alias.name for node in _tree("__init__").body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    unused = _unmentioned(
+        lambda module, top, name: module in ("lattice", "fan", "primitive",
+                                             "fvector", "invariants")
+        and isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and not name.startswith("_") and name not in exported)
+    assert not unused, f"public names neither exported nor used: {unused}"

@@ -123,10 +123,12 @@ def test_relation_classes_give_the_mori_cone_under_relabelling_and_gl_n_z(
 @given(data=st.data())
 def test_extremal_flags_match_the_simplex_on_drawn_cones(drawn_cone, data):
     # A vector spans an extreme ray exactly when it is no nonnegative
-    # combination of the vectors off its ray.
+    # combination of the vectors off its ray: on a pointed cone, those
+    # with a different primitive vector.
     vectors = drawn_cone(data)
     for v, flag in zip(vectors, _extremal_flags(vectors)):
-        others = [w for w in vectors if lattice.matrix_rank([v, w]) == 2]
+        ray = lattice.make_primitive(v)
+        others = [w for w in vectors if lattice.make_primitive(w) != ray]
         assert flag == (not _nonneg_combination_exists(others, v))
 
 
