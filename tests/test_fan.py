@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricfano import fan as fan_module
-from toricfano import invariants
+from toricfano import invariants, lattice
 from toricfano.errors import (
     ConeTooSmall,
     DependentSpan,
@@ -211,6 +211,75 @@ def test_wall_table_under_relabelling_and_gl_n_z(drawn_fan, relabelled,
     assert set(moved.cached(fan_module._walls)) == {
         fan_module._mask_of(label[i] for i in fan_module._rays_of(wall))
         for wall in fan.cached(fan_module._walls)}
+
+
+def _bareiss_adjugates(fan):
+    """The adjugate table as one lattice.adjugate per maximal cone."""
+    table = {}
+    for c in fan.max_cones:
+        det, adj = lattice.adjugate([fan.rays[i] for i in c])
+        table[c] = (det, None if adj is None else
+                    tuple(x for column in zip(*adj) for x in column))
+    return table
+
+
+def _assert_walk_matches_bareiss(fan):
+    walked = fan.cached(fan_module._cone_adjugates)
+    assert list(walked.items()) == list(_bareiss_adjugates(fan).items())
+
+
+def test_adjugate_walk_matches_bareiss_on_the_corpus(all_corpus_fans):
+    for fan in all_corpus_fans:
+        _assert_walk_matches_bareiss(fan)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_adjugate_walk_under_relabelling_and_gl_n_z(drawn_fan, transformed,
+                                                    data):
+    fan = drawn_fan(data)
+    _assert_walk_matches_bareiss(fan)
+    _assert_walk_matches_bareiss(transformed(fan, data))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_adjugate_walk_on_arbitrary_rays(drawn_fan, data):
+    # The cones of a drawn fan over small random rays: non-unimodular and
+    # singular cones, so crossings into det 0 and walks cut into pieces
+    # that need a seed each.
+    fan = drawn_fan(data)
+    rays = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * fan.dim),
+                              min_size=len(fan.rays),
+                              max_size=len(fan.rays)))
+    _assert_walk_matches_bareiss(make_fan(fan.dim, rays, fan.max_cones))
+
+
+def test_adjugate_walk_seeds_once_per_component(monkeypatch):
+    seeds = []
+    adjugate = lattice.adjugate
+
+    def counting(rows):
+        seeds.append(rows)
+        return adjugate(rows)
+
+    line = construct_projective_space(1)
+    fan = line
+    for _ in range(3):
+        fan = construct_product(fan, line)
+    # Rays (-1, 0), (0, -1), (0, 1), (1, 0): the seed cone (0, 3) is
+    # singular, so the walk starts again from (1, 3) and reaches (2, 3).
+    singular_seed = make_fan(2, [(-1, 0), (0, -1), (0, 1), (1, 0)],
+                             [(0, 3), (1, 3), (2, 3)])
+    expected = {f: _bareiss_adjugates(f) for f in (fan, singular_seed)}
+    monkeypatch.setattr(lattice, "adjugate", counting)
+    assert fan.cached(fan_module._cone_adjugates) == expected[fan]
+    assert len(seeds) == 1
+    seeds.clear()
+    table = singular_seed.cached(fan_module._cone_adjugates)
+    assert list(table.items()) == list(expected[singular_seed].items())
+    assert table[(0, 3)] == (0, None)
+    assert len(seeds) == 2
 
 
 def _assert_wall_coordinates(fan):
