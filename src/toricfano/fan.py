@@ -206,10 +206,9 @@ def _cone_adjugates(fan: Fan) -> dict[ConeRef, ConeAdjugate]:
     n = fan.dim
     rays = fan.rays
     walls = fan.cached(_walls)
-    masks = dict(zip(fan.max_cones, fan.cached(_max_cone_masks)))
-    found: dict[ConeRef, ConeAdjugate] = {}
+    found: dict[ConeRef, ConeAdjugate | None] = dict.fromkeys(fan.max_cones)
     for seed in fan.max_cones:
-        if seed in found:
+        if found[seed] is not None:
             continue
         det, adj = lattice.adjugate([rays[i] for i in seed])
         found[seed] = (det, None if adj is None else
@@ -220,11 +219,11 @@ def _cone_adjugates(fan: Fan) -> dict[ConeRef, ConeAdjugate]:
             if entries is None:
                 continue
             cols = [entries[j:j + n] for j in range(0, n * n, n)]
-            mask = masks[c]
+            mask = _mask_of(c)
             for k, u in enumerate(c):
                 sides = walls[mask ^ (1 << u)]
                 for d, q in zip(sides[::2], sides[1::2]):
-                    if d in found:
+                    if found[d] is not None:
                         continue
                     v = rays[d[q]]
                     w = [sum(map(mul, v, col)) for col in cols]
@@ -232,19 +231,19 @@ def _cone_adjugates(fan: Fan) -> dict[ConeRef, ConeAdjugate]:
                     if wk == 0:
                         found[d] = (0, None)
                         continue
+                    sign = -1 if (k - q) % 2 else 1
                     ck = cols[k]
-                    new = [tuple((wk * x - wj * y) // det
-                                 for x, y in zip(col, ck))
+                    # Lists, not tuple(generator): such a tuple is made at
+                    # a guessed length and shrunk, so once freed it joins
+                    # another size's free list, which keeps up to 2000.
+                    new = [[(wk * x - wj * y) // det * sign
+                            for x, y in zip(col, ck)]
                            for j, (col, wj) in enumerate(zip(cols, w))
                            if j != k]
-                    new.insert(q, ck)
-                    if (k - q) % 2:
-                        found[d] = (-wk, tuple(-x for col in new
-                                               for x in col))
-                    else:
-                        found[d] = (wk, tuple(chain.from_iterable(new)))
+                    new.insert(q, [sign * x for x in ck])
+                    found[d] = (sign * wk, tuple(chain.from_iterable(new)))
                     queue.append(d)
-    return {c: found[c] for c in fan.max_cones}
+    return found
 
 
 def _cone_coordinates(fan: Fan, cone: ConeRef,
