@@ -283,7 +283,11 @@ def _check_covering_degree(fan: Fan) -> CheckResult:
     cone, so d >= 2 puts p in a second closed maximal cone. Conversely, in
     a true fan a closed cone that contains an interior point of
     max_cones[0] must equal it. So d = 1 exactly when p lies in no other
-    closed maximal cone.
+    closed maximal cone. p's coordinates in a cone c come from the cached
+    adjugate table: _cone_coordinates gives det c times them, one integer
+    vector-matrix product, and p lies in the closed cone c when none of
+    them has the sign opposite to det c. Smoothness has passed, so every
+    det is +-1 and every table entry exists; no rational solve is made.
     """
     n = fan.dim
     table = fan.cached(_cone_adjugates)
@@ -299,8 +303,8 @@ def _check_covering_degree(fan: Fan) -> CheckResult:
     first = fan.max_cones[0]
     point = lattice.vector_sum([fan.rays[i] for i in first], n)
     for c in fan.max_cones[1:]:
-        coeffs = lattice.solve_in_basis([fan.rays[i] for i in c], point)
-        if all(x >= 0 for x in coeffs):
+        nums, det = _cone_coordinates(fan, c, point)
+        if all(x * det >= 0 for x in nums):
             return CheckResult(
                 "covering_degree", False,
                 f"interior point {point} of cone {first} also lies in "

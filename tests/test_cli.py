@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricfano.cli
+from toricfano import fan as fan_module
 from toricfano import invariants, lattice
 from toricfano.cli import main
 from toricfano.io import parse_fan
@@ -125,26 +126,32 @@ def test_mukai_rejects_non_fano(tmp_path, capsys):
 
 
 def test_mukai_solves_only_for_the_point_test(monkeypatch, capsys):
-    # mukai reads iota off the primitive relations, so its only exact
-    # solves are validation's covering-degree point test, one per maximal
-    # cone other than the first, and it builds no wall curve.
+    # mukai reads iota off the primitive relations, so it builds no wall
+    # curve and makes no rational solve. Inside the fan module its only
+    # coordinates are validation's covering-degree point test, read off
+    # the cone adjugate table once per maximal cone other than the first.
     path = corpus_directory() / "product_1x1x1x1.fan"
     fan = parse_fan(path.read_text(encoding="utf-8"))
-    solves = []
-    solve_in_basis = lattice.solve_in_basis
+    located = []
+    cone_coordinates = fan_module._cone_coordinates
 
-    def counting(basis, target):
-        solves.append(tuple(target))
-        return solve_in_basis(basis, target)
+    def counting(fan, cone, target):
+        located.append(cone)
+        return cone_coordinates(fan, cone, target)
+
+    def no_solve(basis, target):
+        raise AssertionError("mukai made a rational solve")
 
     def no_wall_curves(fan):
         raise AssertionError("mukai built the wall curves")
 
-    monkeypatch.setattr(lattice, "solve_in_basis", counting)
+    monkeypatch.setattr(fan_module, "_cone_coordinates", counting)
+    monkeypatch.setattr(lattice, "solve_in_basis", no_solve)
     monkeypatch.setattr(invariants, "_wall_curves", no_wall_curves)
     assert main(["mukai", str(path), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["factors"] == [1, 1, 1, 1]
-    assert len(solves) == len(fan.max_cones) - 1 == 15
+    assert located == list(fan.max_cones[1:])
+    assert len(located) == len(fan.max_cones) - 1 == 15
 
 
 def test_bounds_row(capsys):

@@ -17,6 +17,7 @@ from toricfano.errors import (
     NotACone,
 )
 from toricfano.fan import (
+    CheckResult,
     construct_product,
     construct_projective_space,
     faces,
@@ -120,6 +121,12 @@ ADVERSARIAL = {
                   for i in range(_M) for pole in (_M, _M + 1)]),
         "interior point (-5, -3, -1) of cone (0, 5, 11) also lies in "
         "cone (3, 11, 14)"),
+    # Five rays winding twice, a pentagram. The point (0, -1) is itself a
+    # ray, so it lies in the second sheet's cones only on their boundary.
+    "doubly_wound_pentagram": (
+        make_fan(2, [(-1, -1), (1, 2), (0, -1), (-1, 1), (1, 0)],
+                 [(i, (i + 1) % 5) for i in range(5)]),
+        "interior point (0, -1) of cone (0, 3) also lies in cone (1, 2)"),
     # Smooth and facet-paired, but folded over: at two of its three walls
     # both cones lie on one side.
     "folded": (
@@ -173,6 +180,55 @@ def test_adversarial_fans_fail_under_relabelling_and_gl_n_z(transformed,
                                                             data):
     fan, _ = ADVERSARIAL[data.draw(st.sampled_from(sorted(ADVERSARIAL)))]
     _assert_invariant(fan, transformed(fan, data))
+
+
+def _rational_point_test(fan):
+    """The covering-degree point test with one Fraction solve per maximal
+    cone, independent of the adjugate table."""
+    first = fan.max_cones[0]
+    point = lattice.vector_sum([fan.rays[i] for i in first], fan.dim)
+    for c in fan.max_cones[1:]:
+        if all(x >= 0 for x in lattice.solve_in_basis(
+                [fan.rays[i] for i in c], point)):
+            return CheckResult("covering_degree", False,
+                               f"interior point {point} of cone {first} "
+                               f"also lies in cone {c}")
+    return CheckResult("covering_degree", True)
+
+
+def _point_test_matches_rational(fan):
+    """Whether validate reaches the point test on fan; where it does, its
+    covering-degree result must equal the rational reference's."""
+    *earlier, result = validate(fan).checks
+    if not all(c.passed for c in earlier) or "same side" in result.detail:
+        return False
+    assert result == _rational_point_test(fan)
+    return True
+
+
+def test_point_test_matches_rational_on_the_corpus(all_corpus_fans):
+    assert all(_point_test_matches_rational(fan) for fan in all_corpus_fans)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_point_test_matches_rational_on_adversarial_fans(transformed, data):
+    # Wall orientation is intrinsic, so the folded fans and their images
+    # never reach the point test, and the wound ones always do.
+    name = data.draw(st.sampled_from(sorted(ADVERSARIAL)))
+    fan, _ = ADVERSARIAL[name]
+    wound = name.startswith("doubly_wound")
+    assert _point_test_matches_rational(fan) == wound
+    assert _point_test_matches_rational(transformed(fan, data)) == wound
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_point_test_matches_rational_on_drawn_fans(drawn_fan, transformed,
+                                                   data):
+    fan = drawn_fan(data)
+    assert _point_test_matches_rational(fan)
+    assert _point_test_matches_rational(transformed(fan, data))
 
 
 def test_walls_are_enumerated_once_per_fan(monkeypatch):
