@@ -7,14 +7,16 @@ Cone references throughout the package are plain sorted index tuples; the
 empty tuple is the zero cone. Inside this module a cone is also an int bit
 mask, bit i for ray i, and the wall table is keyed by the walls' masks.
 Data derived from a fan (primitive relations, the wall table, wall curves,
-the adjugate of each maximal cone, the extremal classes of the Mori cone)
-is computed at most once per Fan object through Fan.cached.
+the scaled integer inverse of each maximal cone, the extremal classes of
+the Mori cone) is computed at most once per Fan object through Fan.cached.
+The inverses come from one walk across the walls, and the cones at a wall
+share the inverse columns that the crossing leaves unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -177,48 +179,55 @@ def _check_facet_pairing(fan: Fan) -> CheckResult:
     return CheckResult("facet_pairing", True)
 
 
-ConeAdjugate = tuple[int, tuple[int, ...] | None]
+ConeInverse = tuple[int, tuple[tuple[int, ...], ...] | None]
 
 
-def _cone_adjugates(fan: Fan) -> dict[ConeRef, ConeAdjugate]:
-    """Each maximal cone -> (det, the entries of adj column by column) of
-    the matrix whose rows are its rays, in max_cones order; the entries are
-    None when det is 0.
+def _cone_adjugates(fan: Fan) -> dict[ConeRef, ConeInverse]:
+    """Each maximal cone -> (det, cols), in max_cones order. A is the
+    matrix whose rows are the cone's rays, and cols holds the n columns of
+    N = |det| * A^-1 = sign(det) * adj A, so on a unimodular cone N is the
+    exact integer inverse; cols is None when det is 0.
 
     One breadth-first walk over the dual graph, read off the wall table.
     The first cone not yet reached, in max_cones order, is a seed and gets
     one lattice.adjugate; the walk then crosses each wall of a reached cone
-    c with det != 0 into the cone d on its other side. Let A be c's matrix,
-    k the position of the ray that d drops and v the ray it takes instead,
-    and w = v * adj A, so v = (w / det A) * A. Replacing row k of A by v
-    multiplies A on the left by the identity with row k replaced by
-    w / det A, so that matrix A' has det w_k and
-    - column k of adj A' is column k of adj A;
-    - every other column j is (w_k * col_j - w_j * col_k) / det A.
-    The numerator is det A times column j of the integer matrix adj A', so
-    the division is exact, on any cone and not only a unimodular one.
-    Moving v from row k to its sorted row q in d multiplies the determinant
-    by (-1)^(k-q) and moves column k of the adjugate to position q with the
-    same sign. A crossing with w_k = 0 gives (0, None), and the walk goes
-    on from no cone with det 0. Each crossing costs O(n^2) against O(n^3)
-    for an elimination.
+    c with det != 0 into the cone d on its other side. Let D = |det c|, k
+    the position of the ray that d drops and v the ray it takes instead,
+    and w = v * N, so v = (w / D) * A. Replacing row k of A by v
+    multiplies A on the left by the identity with row k replaced by w / D.
+    Taking that to d's N (Reid 1983; Oda 1988):
+    - d's determinant is (-1)^(k-q) * sign(det c) * w_k, where q is v's
+      sorted position in d;
+    - v's column is sign(w_k) * col_k, moved to position q;
+    - every other column j is sign(w_k) * (w_k * col_j - w_j * col_k) / D.
+    The numerator is D times a column of the integer matrix N of d, so the
+    division is exact, on any cone and not only a unimodular one. When
+    |w_k| = D, as on every crossing of a smooth fan, a column with w_j = 0
+    is column j itself: d shares that tuple with c, as it shares col_k
+    when w_k > 0, and the crossing builds only the columns of the rays in
+    v's relation u + v = sum c_i x_i. A
+    crossing with w_k = 0 gives (0, None), and the walk goes on from no
+    cone with det 0.
     """
-    n = fan.dim
     rays = fan.rays
     walls = fan.cached(_walls)
-    found: dict[ConeRef, ConeAdjugate | None] = dict.fromkeys(fan.max_cones)
+    found: dict[ConeRef, ConeInverse | None] = dict.fromkeys(fan.max_cones)
     for seed in fan.max_cones:
         if found[seed] is not None:
             continue
         det, adj = lattice.adjugate([rays[i] for i in seed])
-        found[seed] = (det, None if adj is None else
-                       tuple(chain.from_iterable(zip(*adj))))
+        if adj is None:
+            found[seed] = (0, None)
+            continue
+        sign = -1 if det < 0 else 1
+        found[seed] = (det, tuple([tuple([sign * x for x in col])
+                                   for col in zip(*adj)]))
         queue = [seed]
         for c in queue:
-            det, entries = found[c]
-            if entries is None:
+            det, cols = found[c]
+            if cols is None:
                 continue
-            cols = [entries[j:j + n] for j in range(0, n * n, n)]
+            size = abs(det)
             mask = _mask_of(c)
             for k, u in enumerate(c):
                 sides = walls[mask ^ (1 << u)]
@@ -231,36 +240,46 @@ def _cone_adjugates(fan: Fan) -> dict[ConeRef, ConeAdjugate]:
                     if wk == 0:
                         found[d] = (0, None)
                         continue
-                    sign = -1 if (k - q) % 2 else 1
                     ck = cols[k]
-                    # Lists, not tuple(generator): such a tuple is made at
-                    # a guessed length and shrunk, so once freed it joins
-                    # another size's free list, which keeps up to 2000.
-                    new = [[(wk * x - wj * y) // det * sign
-                            for x, y in zip(col, ck)]
-                           for j, (col, wj) in enumerate(zip(cols, w))
-                           if j != k]
-                    new.insert(q, [sign * x for x in ck])
-                    found[d] = (sign * wk, tuple(chain.from_iterable(new)))
+                    # sign(w_k) * (w_k * x - w_j * y) is a * x - b * y with
+                    # a = |w_k| and b = sign(w_k) * w_j.
+                    a, flip = (wk, 1) if wk > 0 else (-wk, -1)
+                    unit = a == size
+                    new = []
+                    for j, (col, wj) in enumerate(zip(cols, w)):
+                        if j == k:
+                            continue
+                        if unit and not wj:
+                            new.append(col)
+                            continue
+                        b = flip * wj
+                        # A list, not tuple(generator): such a tuple is made
+                        # at a guessed length and shrunk, so once freed it
+                        # joins another size's free list, which keeps up to
+                        # 2000.
+                        new.append(tuple([(a * x - b * y) // size
+                                          for x, y in zip(col, ck)]))
+                    new.insert(q, ck if flip == 1 else tuple([-x for x in ck]))
+                    det_d = wk if det > 0 else -wk
+                    found[d] = (-det_d if (k - q) % 2 else det_d, tuple(new))
                     queue.append(d)
     return found
 
 
 def _cone_coordinates(fan: Fan, cone: ConeRef,
                       target: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """(numerators, det) with target = sum(numerators[i] / det * ray_i)
-    over the rays of the maximal cone, from the fan's cached adjugate
-    table; raises SingularBasis when the cone's rays are dependent.
+    """(numerators, size) with target = sum(numerators[i] / size * ray_i)
+    over the rays of the maximal cone, where size = |det| > 0, from the
+    fan's cached table; raises SingularBasis when the cone's rays are
+    dependent.
 
     The rays are the rows of a matrix A, so the coordinates are
-    target * A^-1, and det * A^-1 is adj A.
+    target * A^-1, and |det| * A^-1 is the table's N.
     """
-    det, entries = fan.cached(_cone_adjugates)[cone]
-    if entries is None:
+    det, cols = fan.cached(_cone_adjugates)[cone]
+    if cols is None:
         raise SingularBasis("basis vectors are linearly dependent")
-    n = len(target)
-    return tuple(sum(map(mul, entries[k:k + n], target))
-                 for k in range(0, n * n, n)), det
+    return tuple([sum(map(mul, col, target)) for col in cols]), abs(det)
 
 
 def _check_covering_degree(fan: Fan) -> CheckResult:
@@ -284,10 +303,10 @@ def _check_covering_degree(fan: Fan) -> CheckResult:
     a true fan a closed cone that contains an interior point of
     max_cones[0] must equal it. So d = 1 exactly when p lies in no other
     closed maximal cone. p's coordinates in a cone c come from the cached
-    adjugate table: _cone_coordinates gives det c times them, one integer
+    table: _cone_coordinates gives |det c| times them, one integer
     vector-matrix product, and p lies in the closed cone c when none of
-    them has the sign opposite to det c. Smoothness has passed, so every
-    det is +-1 and every table entry exists; no rational solve is made.
+    them is negative. Smoothness has passed, so every det is +-1 and every
+    table entry exists; no rational solve is made.
     """
     n = fan.dim
     table = fan.cached(_cone_adjugates)
@@ -303,8 +322,8 @@ def _check_covering_degree(fan: Fan) -> CheckResult:
     first = fan.max_cones[0]
     point = lattice.vector_sum([fan.rays[i] for i in first], n)
     for c in fan.max_cones[1:]:
-        nums, det = _cone_coordinates(fan, c, point)
-        if all(x * det >= 0 for x in nums):
+        nums, _ = _cone_coordinates(fan, c, point)
+        if all(x >= 0 for x in nums):
             return CheckResult(
                 "covering_degree", False,
                 f"interior point {point} of cone {first} also lies in "
@@ -477,17 +496,21 @@ def invariant_subvariety_fan(fan: Fan, sigma: Sequence[int]) -> QuotientFan:
     # The coordinates at the positions outside sigma, in the basis of a
     # maximal cone containing sigma, map N onto N(sigma), the quotient of N
     # by the lattice points in the real span of sigma, when that cone is
-    # unimodular, as on a valid fan. The adjugate gives them times det,
-    # which is +-1 there.
+    # unimodular, as on a valid fan. The projection is det times them, so
+    # on a cone with det -1 the quotient's rays are the negated
+    # coordinates; _cone_coordinates gives |det| times them.
     cone = containing[0]
-    if fan.cached(_cone_adjugates)[cone][0] == 0:
+    det = fan.cached(_cone_adjugates)[cone][0]
+    if det == 0:
         raise DependentSpan(f"the rays of cone {cone} are linearly dependent")
+    sign = -1 if det < 0 else 1
     outside = [p for p, i in enumerate(cone) if i not in sigma_set]
     projected: dict[int, IntVector] = {}
     for u in sorted({u for c in containing for u in c} - sigma_set):
         nums, _ = _cone_coordinates(fan, cone, fan.rays[u])
         # On a valid fan the image is already primitive.
-        projected[u] = lattice.make_primitive([nums[p] for p in outside])
+        projected[u] = lattice.make_primitive(
+            [sign * nums[p] for p in outside])
     order = sorted(projected, key=lambda u: projected[u])
     new_rays = [projected[u] for u in order]
     newpos = {u: i for i, u in enumerate(order)}

@@ -57,13 +57,13 @@ class FVector:
 
 def _face_counts(fan: Fan) -> tuple[int, ...]:
     """f_{-1}..f_{n-1}, from the h-vector counted on the fan's cached cone
-    adjugates (Fulton 1993, section 5.2).
+    inverses (Fulton 1993, section 5.2).
 
     Take w = (1, M, ..., M^(n-1)) for a large M. Its coordinate k in the
-    basis of a maximal cone is column k of the adjugate read as a base-M
-    number, over det, so its sign is that of det times the column's last
+    basis of a maximal cone is column k of N = |det| * A^-1 read as a
+    base-M number, over |det|, so its sign is that of the column's last
     nonzero entry: the signs are read lexicographically, and no column of
-    an invertible adjugate is zero, so w lies on no wall. h_i is the
+    an invertible N is zero, so w lies on no wall. h_i is the
     number of maximal cones in whose basis w has exactly i negative
     coordinates, and f_{j-1} = sum_i C(n-i, j-i) h_i. Counting for -w
     gives h reversed, so h must be palindromic (Dehn-Sommerville); a fan
@@ -72,14 +72,13 @@ def _face_counts(fan: Fan) -> tuple[int, ...]:
     """
     n = fan.dim
     table = fan.cached(_cone_adjugates)
-    if any(entries is None for _, entries in table.values()):
+    if any(cols is None for _, cols in table.values()):
         raise SingularBasis("basis vectors are linearly dependent")
     h = [0] * (n + 1)
     for cone in fan.max_cones:
-        det, entries = table[cone]
-        lasts = (next(x for x in reversed(entries[k:k + n]) if x)
-                 for k in range(0, n * n, n))
-        h[sum(x * det < 0 for x in lasts)] += 1
+        _, cols = table[cone]
+        lasts = (next(x for x in reversed(col) if x) for col in cols)
+        h[sum(x < 0 for x in lasts)] += 1
     if not is_palindromic(h):
         raise InternalInconsistency(f"h-vector {h} is not palindromic")
     return tuple(sum(comb(n - i, j - i) * h[i] for i in range(j + 1))

@@ -48,21 +48,29 @@ def _minimal_non_faces(fan: Fan) -> tuple[Collection, ...]:
     stays; each that misses it is extended by every ray of it, and an
     extension is kept unless it holds a transversal that stayed. No
     extension holds another one, and none lies inside a transversal that
-    stayed, so what is kept is again the minimal transversals.
+    stayed, so what is kept is again the minimal transversals. A
+    complement that every transversal meets changes nothing.
     """
     everything = (1 << len(fan.rays)) - 1
     minimal = [0]
     for cone in fan.cached(_max_cone_masks):
         edge = everything ^ cone
-        stayed = [t for t in minimal if t & edge]
         missed = [t for t in minimal if not t & edge]
-        minimal = stayed.copy()
+        if not missed:
+            continue
+        minimal = [t for t in minimal if t & edge]
+        # t misses the complement, so t | bit meets it in bit alone: a set
+        # s that stayed lies inside t | bit only when s & edge is bit, and
+        # then when the rest of s lies inside t.
+        rests: dict[int, list[int]] = {}
+        for s in minimal:
+            met = s & edge
+            if not met & (met - 1):
+                rests.setdefault(met, []).append(s ^ met)
         for bit in _bits(edge):
-            # A set that stayed lies inside t | bit iff it holds bit and
-            # the rest of it lies inside t.
-            rests = [s ^ bit for s in stayed if s & bit]
+            inside = rests.get(bit, ())
             minimal += [t | bit for t in missed
-                        if all(r & t != r for r in rests)]
+                        if all(r & t != r for r in inside)]
     return tuple(sorted((_rays_of(mask) for mask in minimal),
                         key=lambda c: (len(c), c)))
 
@@ -82,7 +90,7 @@ def primitive_relation(fan: Fan, collection: Sequence[int]) -> PrimitiveRelation
 
     The sum of the collection is located in the first maximal cone, in
     max_cones order, where its coordinates are all nonnegative, read off
-    the fan's cached cone adjugates in integers; zero coefficients are
+    the fan's cached cone inverses in integers; zero coefficients are
     dropped so the retained targets span the minimal containing cone.
     """
     collection = tuple(sorted(collection))
@@ -95,22 +103,22 @@ def primitive_relation(fan: Fan, collection: Sequence[int]) -> PrimitiveRelation
     else:
         located = None
         for cone in fan.max_cones:
-            nums, det = _cone_coordinates(fan, cone, s)
-            if all(x * det >= 0 for x in nums):
-                located = (cone, nums, det)
+            nums, size = _cone_coordinates(fan, cone, s)
+            if all(x >= 0 for x in nums):
+                located = (cone, nums, size)
                 break
         if located is None:
             raise NotInSupport(
                 f"sum of {collection} lies in no maximal cone")
-        cone, nums, det = located
+        cone, nums, size = located
         pairs = []
         for idx, num in zip(cone, nums):
             if num == 0:
                 continue
-            if num % det:
+            if num % size:
                 raise NonIntegralCoefficient(
-                    f"coefficient {Fraction(num, det)} on ray {idx}")
-            pairs.append((idx, num // det))
+                    f"coefficient {Fraction(num, size)} on ray {idx}")
+            pairs.append((idx, num // size))
         pairs.sort()
         targets = tuple(i for i, _ in pairs)
         coeffs = tuple(a for _, a in pairs)

@@ -269,19 +269,23 @@ def test_wall_table_under_relabelling_and_gl_n_z(drawn_fan, relabelled,
         for wall in fan.cached(fan_module._walls)}
 
 
-def _bareiss_adjugates(fan):
-    """The adjugate table as one lattice.adjugate per maximal cone."""
+def _bareiss_inverses(fan):
+    """The cone table as one lattice.adjugate per maximal cone: det, and
+    the columns of sign(det) * adj, or None when det is 0."""
     table = {}
     for c in fan.max_cones:
         det, adj = lattice.adjugate([fan.rays[i] for i in c])
+        sign = -1 if det < 0 else 1
         table[c] = (det, None if adj is None else
-                    tuple(x for column in zip(*adj) for x in column))
+                    tuple(tuple(sign * x for x in column)
+                          for column in zip(*adj)))
     return table
 
 
 def _assert_walk_matches_bareiss(fan):
     walked = fan.cached(fan_module._cone_adjugates)
-    assert list(walked.items()) == list(_bareiss_adjugates(fan).items())
+    assert list(walked) == list(fan.max_cones)
+    assert list(walked.items()) == list(_bareiss_inverses(fan).items())
 
 
 def test_adjugate_walk_matches_bareiss_on_the_corpus(all_corpus_fans):
@@ -327,7 +331,7 @@ def test_adjugate_walk_seeds_once_per_component(monkeypatch):
     # singular, so the walk starts again from (1, 3) and reaches (2, 3).
     singular_seed = make_fan(2, [(-1, 0), (0, -1), (0, 1), (1, 0)],
                              [(0, 3), (1, 3), (2, 3)])
-    expected = {f: _bareiss_adjugates(f) for f in (fan, singular_seed)}
+    expected = {f: _bareiss_inverses(f) for f in (fan, singular_seed)}
     monkeypatch.setattr(lattice, "adjugate", counting)
     assert fan.cached(fan_module._cone_adjugates) == expected[fan]
     assert len(seeds) == 1
@@ -336,6 +340,35 @@ def test_adjugate_walk_seeds_once_per_component(monkeypatch):
     assert list(table.items()) == list(expected[singular_seed].items())
     assert table[(0, 3)] == (0, None)
     assert len(seeds) == 2
+
+
+def test_adjugate_walk_hands_over_the_columns_a_unit_crossing_keeps(
+        all_corpus_fans):
+    # Every cone but a seed is reached across a wall from a cone c. On a
+    # smooth fan that crossing is a unit one, |w_k| = |det c| = 1, and each
+    # column of c with w_j = 0 passes to d as the same tuple: so some
+    # neighbour c of d shares all of those columns with d.
+    handed = 0
+    for fan in all_corpus_fans:
+        table = fan.cached(fan_module._cone_adjugates)
+        walls = fan.cached(fan_module._walls)
+        for d in fan.max_cones[1:]:
+            cols_d = table[d][1]
+            shares = []
+            for q, v in enumerate(d):
+                sides = walls[fan_module._mask_of(d) ^ (1 << v)]
+                c, k = sides[:2] if sides[2] == d else sides[2:]
+                det_c, cols_c = table[c]
+                w = [sum(x * y for x, y in zip(fan.rays[v], col))
+                     for col in cols_c]
+                assert abs(w[k]) == abs(det_c) == 1
+                kept = [(c[j], col) for j, (col, wj)
+                        in enumerate(zip(cols_c, w)) if j != k and wj == 0]
+                if all(cols_d[d.index(i)] is col for i, col in kept):
+                    shares.append(len(kept))
+            assert shares, d
+            handed += max(shares)
+    assert handed > 0
 
 
 def _assert_wall_coordinates(fan):
@@ -449,6 +482,46 @@ def test_invariant_subvariety_rejects_dependent_rays():
     sigma = (fan.rays.index((1, 0, 0)), fan.rays.index((-1, 0, 0)))
     with pytest.raises(DependentSpan):
         invariant_subvariety_fan(fan, sigma)
+
+
+def _reference_quotient(fan, sigma):
+    """invariant_subvariety_fan rebuilt with one lattice.adjugate: det
+    times the coordinates outside sigma, in the basis of the first maximal
+    cone containing sigma, made primitive. Returns that det too."""
+    sigma_set = set(sigma)
+    containing = [c for c in fan.max_cones if sigma_set <= set(c)]
+    cone = containing[0]
+    det, adj = lattice.adjugate([fan.rays[i] for i in cone])
+    outside = [p for p, i in enumerate(cone) if i not in sigma_set]
+    projected = {}
+    for u in sorted({u for c in containing for u in c} - sigma_set):
+        projected[u] = lattice.make_primitive(
+            [sum(x * row[p] for x, row in zip(fan.rays[u], adj))
+             for p in outside])
+    order = sorted(projected, key=projected.get)
+    newpos = {u: i for i, u in enumerate(order)}
+    cones = sorted(tuple(sorted(newpos[u] for u in c if u not in sigma_set))
+                   for c in containing)
+    return (tuple(projected[u] for u in order), tuple(cones), tuple(order),
+            det)
+
+
+def test_invariant_subvariety_fan_matches_an_adjugate_reference(corpus_fans):
+    # The quotient's rays carry the sign of the first containing cone's
+    # det, so the corpus must reach cones with det -1 as well as +1.
+    dets = []
+    for name, fan in corpus_fans.items():
+        for k in (1, 2):
+            if k >= fan.dim:
+                continue
+            for sigma in faces(fan, k):
+                sub = invariant_subvariety_fan(fan, sigma)
+                rays, cones, back_map, det = _reference_quotient(fan, sigma)
+                assert sub.fan.rays == rays, (name, sigma)
+                assert sub.fan.max_cones == cones, (name, sigma)
+                assert sub.back_map == back_map, (name, sigma)
+                dets.append(det)
+    assert set(dets) == {-1, 1}
 
 
 def test_invariant_subvarieties_of_corpus_fans_validate(corpus_fans):

@@ -259,11 +259,13 @@ def test_mukai_check_strict_and_equality():
 
 
 # On Python 3.11 the traced peak of the mukai route and the invariants
-# payload on (P^1)^9 was 1.43 MB with a sweep down the face levels, and is
-# 1.28 MB with the face counts read off the h-vector and the collections
-# found as minimal transversals; the wall curves now set the peak. The
-# ceiling lies halfway between.
-MUKAI_PEAK_CEILING_MB = 1.36
+# payload on (P^1)^9 was 1.43 MB with a sweep down the face levels, 1.28 MB
+# with the face counts read off the h-vector and the collections found as
+# minimal transversals, and is 0.95 MB now that each crossing of the cone
+# walk shares the inverse columns it leaves unchanged (0.71-0.81 MB inside
+# a full Tier-1 run, 0.95 MB when this file runs alone). The ceiling lies
+# halfway between 0.95 and 1.28 MB.
+MUKAI_PEAK_CEILING_MB = 1.12
 
 
 def test_mukai_route_peak_memory_on_a_product_of_lines():
