@@ -205,9 +205,8 @@ def _cone_adjugates(fan: Fan) -> dict[ConeRef, ConeInverse]:
     |w_k| = D, as on every crossing of a smooth fan, a column with w_j = 0
     is column j itself: d shares that tuple with c, as it shares col_k
     when w_k > 0, and the crossing builds only the columns of the rays in
-    v's relation u + v = sum c_i x_i. A
-    crossing with w_k = 0 gives (0, None), and the walk goes on from no
-    cone with det 0.
+    v's relation u + v = sum c_i x_i. A crossing with w_k = 0 gives
+    (0, None), and the walk goes on from no cone with det 0.
     """
     rays = fan.rays
     walls = fan.cached(_walls)

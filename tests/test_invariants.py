@@ -262,8 +262,8 @@ def test_mukai_check_strict_and_equality():
 # payload on (P^1)^9 was 1.43 MB with a sweep down the face levels, 1.28 MB
 # with the face counts read off the h-vector and the collections found as
 # minimal transversals, and is 0.95 MB now that each crossing of the cone
-# walk shares the inverse columns it leaves unchanged (0.71-0.81 MB inside
-# a full Tier-1 run, 0.95 MB when this file runs alone). The ceiling lies
+# walk shares the inverse columns it leaves unchanged (0.95 MB with this
+# test run alone, 0.71-0.81 MB inside a full Tier-1 run). The ceiling lies
 # halfway between 0.95 and 1.28 MB.
 MUKAI_PEAK_CEILING_MB = 1.12
 
