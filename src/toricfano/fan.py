@@ -7,10 +7,12 @@ Cone references throughout the package are plain sorted index tuples; the
 empty tuple is the zero cone. Inside this module a cone is also an int bit
 mask, bit i for ray i, and the wall table is keyed by the walls' masks.
 Data derived from a fan (primitive relations, the wall table, wall curves,
-the scaled integer inverse of each maximal cone, the extremal classes of
-the Mori cone) is computed at most once per Fan object through Fan.cached.
-The inverses come from one walk across the walls, and the cones at a wall
-share the inverse columns that the crossing leaves unchanged.
+the scaled integer inverse of each maximal cone, the h-vector counts, the
+extremal classes of the Mori cone) is computed at most once per Fan object
+through Fan.cached. The inverses come from one walk across the walls, and
+the cones at a wall share the inverse columns that the crossing leaves
+unchanged. No other module reads them directly; validation and the face
+counts share one sign pass over them, the h-vector counts (_h_counts).
 """
 
 from __future__ import annotations
@@ -270,7 +272,7 @@ def _cone_coordinates(fan: Fan, cone: ConeRef,
     """(numerators, size) with target = sum(numerators[i] / size * ray_i)
     over the rays of the maximal cone, where size = |det| > 0, from the
     fan's cached table; raises SingularBasis when the cone's rays are
-    dependent.
+    dependent. The primitive relations and the quotient fans use it.
 
     The rays are the rows of a matrix A, so the coordinates are
     target * A^-1, and |det| * A^-1 is the table's N.
@@ -279,6 +281,24 @@ def _cone_coordinates(fan: Fan, cone: ConeRef,
     if cols is None:
         raise SingularBasis("basis vectors are linearly dependent")
     return tuple([sum(map(mul, col, target)) for col in cols]), abs(det)
+
+
+def _h_counts(fan: Fan) -> tuple[int, ...]:
+    """h_0..h_n, read through fan.cached by validation and the face counts:
+    h_i is the number of maximal cones in whose basis w = (1, M, ...,
+    M^(n-1)), for a large M, has exactly i negative coordinates (Fulton
+    1993, section 5.2). Coordinate k of w is column k of the cone's N read
+    as a base-M number, over |det|, so its sign is that of the column's
+    last nonzero entry; no column of an invertible N is zero, so w lies on
+    no cone's boundary. A cone with dependent rays raises SingularBasis.
+    """
+    h = [0] * (fan.dim + 1)
+    for _, cols in fan.cached(_cone_adjugates).values():
+        if cols is None:
+            raise SingularBasis("basis vectors are linearly dependent")
+        lasts = (next(x for x in reversed(col) if x) for col in cols)
+        h[sum(x < 0 for x in lasts)] += 1
+    return tuple(h)
 
 
 def _check_covering_degree(fan: Fan) -> CheckResult:
@@ -295,19 +315,9 @@ def _check_covering_degree(fan: Fan) -> CheckResult:
     over a generic point the same everywhere: it equals the covering
     degree d of the cones over the sphere. Every direction then lies in
     relatively open faces whose positive local degrees sum to d, so d = 1
-    puts it in exactly one face: the cones form a complete fan.
-
-    Point test: p, the sum of the rays of max_cones[0], is interior to that
-    cone, so d >= 2 puts p in a second closed maximal cone. Conversely, in
-    a true fan a closed cone that contains an interior point of
-    max_cones[0] must equal it. So d = 1 exactly when p lies in no other
-    closed maximal cone. p's coordinates in a cone c come from the cached
-    table: _cone_coordinates gives |det c| times them, one integer
-    vector-matrix product, and p lies in the closed cone c when none of
-    them is negative. Smoothness has passed, so every det is +-1 and every
-    table entry exists; no rational solve is made.
+    puts it in exactly one face: the cones form a complete fan. The vector
+    w of _h_counts lies on no cone's boundary, so d is h_0.
     """
-    n = fan.dim
     table = fan.cached(_cone_adjugates)
     folded = [((c, q), other, wall) for wall, (other, p, c, q)
               in fan.cached(_walls).items()
@@ -318,22 +328,19 @@ def _check_covering_degree(fan: Fan) -> CheckResult:
             "covering_degree", False,
             f"cones {other} and {c} lie on the same side of wall "
             f"{_rays_of(wall)}")
-    first = fan.max_cones[0]
-    point = lattice.vector_sum([fan.rays[i] for i in first], n)
-    for c in fan.max_cones[1:]:
-        nums, _ = _cone_coordinates(fan, c, point)
-        if all(x >= 0 for x in nums):
-            return CheckResult(
-                "covering_degree", False,
-                f"interior point {point} of cone {first} also lies in "
-                f"cone {c}")
+    degree = fan.cached(_h_counts)[0]
+    if degree != 1:
+        return CheckResult(
+            "covering_degree", False,
+            f"a generic point lies in {degree} maximal cones")
     return CheckResult("covering_degree", True)
 
 
 def validate(fan: Fan) -> ValidationReport:
     """Check primitivity, distinctness, coverage, smoothness, facet-pairing
     completeness, and the covering degree: coherent wall orientation plus
-    one exact point test, so the cones cover R^n exactly once.
+    h_0 = 1 in the fan's h-vector counts, so the cones cover R^n exactly
+    once.
 
     Deterministic; returns a structured report, and mathematically invalid
     fans never raise.

@@ -1,5 +1,6 @@
 """Face-count vectors, the Dehn-Sommerville machinery, and the rho-bound
-solver.
+solver. A fan's face counts are the binomial sums of its h-vector, which
+fan._h_counts counts on the fan's cone inverses.
 
 Two independent routes to the same numbers live here. The closed forms
 (dehn_sommerville_fk, dehn_sommerville_tail, psi_k) evaluate explicit
@@ -29,9 +30,8 @@ from .errors import (
     InternalInconsistency,
     NonIntegralResult,
     RegimeUnsupported,
-    SingularBasis,
 )
-from .fan import Fan, _cone_adjugates
+from .fan import Fan, _h_counts
 
 
 @dataclass(frozen=True)
@@ -56,31 +56,15 @@ class FVector:
 
 
 def _face_counts(fan: Fan) -> tuple[int, ...]:
-    """f_{-1}..f_{n-1}, from the h-vector counted on the fan's cached cone
-    inverses (Fulton 1993, section 5.2).
-
-    Take w = (1, M, ..., M^(n-1)) for a large M. Its coordinate k in the
-    basis of a maximal cone is column k of N = |det| * A^-1 read as a
-    base-M number, over |det|, so its sign is that of the column's last
-    nonzero entry: the signs are read lexicographically, and no column of
-    an invertible N is zero, so w lies on no wall. h_i is the
-    number of maximal cones in whose basis w has exactly i negative
-    coordinates, and f_{j-1} = sum_i C(n-i, j-i) h_i. Counting for -w
-    gives h reversed, so h must be palindromic (Dehn-Sommerville); a fan
-    where it is not raises InternalInconsistency. A cone with dependent
-    rays raises SingularBasis.
+    """f_{-1}..f_{n-1}, from the fan's cached h-vector counts (fan._h_counts,
+    Fulton 1993, section 5.2): f_{j-1} = sum_i C(n-i, j-i) h_i. Counting
+    for -w gives h reversed, so h must be palindromic (Dehn-Sommerville); a
+    fan where it is not raises InternalInconsistency.
     """
     n = fan.dim
-    table = fan.cached(_cone_adjugates)
-    if any(cols is None for _, cols in table.values()):
-        raise SingularBasis("basis vectors are linearly dependent")
-    h = [0] * (n + 1)
-    for cone in fan.max_cones:
-        _, cols = table[cone]
-        lasts = (next(x for x in reversed(col) if x) for col in cols)
-        h[sum(x < 0 for x in lasts)] += 1
+    h = fan.cached(_h_counts)
     if not is_palindromic(h):
-        raise InternalInconsistency(f"h-vector {h} is not palindromic")
+        raise InternalInconsistency(f"h-vector {list(h)} is not palindromic")
     return tuple(sum(comb(n - i, j - i) * h[i] for i in range(j + 1))
                  for j in range(n + 1))
 

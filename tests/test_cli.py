@@ -19,9 +19,8 @@ from hypothesis import strategies as st
 
 import toricfano.cli
 from toricfano import fan as fan_module
-from toricfano import invariants, lattice
+from toricfano import invariants, lattice, primitive
 from toricfano.cli import main
-from toricfano.io import parse_fan
 from toricfano.oracle import corpus_directory
 
 PLANE = "FAN 2 3 3\n1 0\n0 1\n-1 -1\n0 1\n1 2\n0 2\n"
@@ -125,19 +124,15 @@ def test_mukai_rejects_non_fano(tmp_path, capsys):
     assert captured.out == "" and "not Fano" in captured.err
 
 
-def test_mukai_solves_only_for_the_point_test(monkeypatch, capsys):
+def test_mukai_reads_no_cone_coordinates(monkeypatch, capsys):
     # mukai reads iota off the primitive relations, so it builds no wall
-    # curve and makes no rational solve. Inside the fan module its only
-    # coordinates are validation's covering-degree point test, read off
-    # the cone adjugate table once per maximal cone other than the first.
+    # curve and makes no rational solve, and validation reads the covering
+    # degree off the h-vector counts. On a product of lines every
+    # primitive collection sums to zero, so nothing is located in a cone.
     path = corpus_directory() / "product_1x1x1x1.fan"
-    fan = parse_fan(path.read_text(encoding="utf-8"))
-    located = []
-    cone_coordinates = fan_module._cone_coordinates
 
-    def counting(fan, cone, target):
-        located.append(cone)
-        return cone_coordinates(fan, cone, target)
+    def no_coordinates(fan, cone, target):
+        raise AssertionError("mukai read cone coordinates")
 
     def no_solve(basis, target):
         raise AssertionError("mukai made a rational solve")
@@ -145,13 +140,12 @@ def test_mukai_solves_only_for_the_point_test(monkeypatch, capsys):
     def no_wall_curves(fan):
         raise AssertionError("mukai built the wall curves")
 
-    monkeypatch.setattr(fan_module, "_cone_coordinates", counting)
+    monkeypatch.setattr(fan_module, "_cone_coordinates", no_coordinates)
+    monkeypatch.setattr(primitive, "_cone_coordinates", no_coordinates)
     monkeypatch.setattr(lattice, "solve_in_basis", no_solve)
     monkeypatch.setattr(invariants, "_wall_curves", no_wall_curves)
     assert main(["mukai", str(path), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["factors"] == [1, 1, 1, 1]
-    assert located == list(fan.max_cones[1:])
-    assert len(located) == len(fan.max_cones) - 1 == 15
 
 
 def test_bounds_row(capsys):

@@ -17,7 +17,6 @@ from toricfano.errors import (
     NotACone,
 )
 from toricfano.fan import (
-    CheckResult,
     construct_product,
     construct_projective_space,
     faces,
@@ -107,26 +106,43 @@ def test_validate_is_deterministic():
 WOUND_RAYS = [(1, 0), (-3, 1), (-1, 0), (-3, -1), (-2, -1), (-3, -2),
               (-1, -1), (-2, -3), (-1, -2), (-1, -3), (1, 2), (0, 1),
               (-1, 1), (-3, 2), (1, -1)]
-_M = len(WOUND_RAYS)
+# Fourteen rays in cyclic order, every consecutive determinant 1: the plane
+# is covered three times.
+TRIPLY_WOUND_RAYS = [(1, 0), (0, 1), (-1, -2), (1, 1), (2, 3), (-1, -1),
+                     (0, -1), (1, -1), (2, -1), (-3, 2), (-2, 1), (-3, 1),
+                     (-1, 0), (-2, -1)]
+
+
+def _wound(rays):
+    m = len(rays)
+    return make_fan(2, rays, [(i, (i + 1) % m) for i in range(m)])
+
+
+def _suspension(rays):
+    """The fan over the cyclic rays, winding around the third axis."""
+    m = len(rays)
+    return make_fan(3, [r + (0,) for r in rays] + [(0, 0, 1), (0, 0, -1)],
+                    [(i, (i + 1) % m, pole)
+                     for i in range(m) for pole in (m, m + 1)])
+
 
 # name -> (fan, expected covering_degree detail)
 ADVERSARIAL = {
     "doubly_wound": (
-        make_fan(2, WOUND_RAYS, [(i, (i + 1) % _M) for i in range(_M)]),
-        "interior point (-5, -3) of cone (0, 5) also lies in cone (3, 12)"),
-    # The suspension winds twice around the third axis.
+        _wound(WOUND_RAYS), "a generic point lies in 2 maximal cones"),
     "doubly_wound_suspension": (
-        make_fan(3, [r + (0,) for r in WOUND_RAYS] + [(0, 0, 1), (0, 0, -1)],
-                 [(i, (i + 1) % _M, pole)
-                  for i in range(_M) for pole in (_M, _M + 1)]),
-        "interior point (-5, -3, -1) of cone (0, 5, 11) also lies in "
-        "cone (3, 11, 14)"),
-    # Five rays winding twice, a pentagram. The point (0, -1) is itself a
-    # ray, so it lies in the second sheet's cones only on their boundary.
+        _suspension(WOUND_RAYS), "a generic point lies in 2 maximal cones"),
+    "triply_wound": (
+        _wound(TRIPLY_WOUND_RAYS), "a generic point lies in 3 maximal cones"),
+    "triply_wound_suspension": (
+        _suspension(TRIPLY_WOUND_RAYS),
+        "a generic point lies in 3 maximal cones"),
+    # Five rays winding twice, a pentagram. The point (0, -1), the sum of
+    # the rays of the first cone, is itself a ray, so it lies in the second
+    # sheet's cones only on their boundary.
     "doubly_wound_pentagram": (
-        make_fan(2, [(-1, -1), (1, 2), (0, -1), (-1, 1), (1, 0)],
-                 [(i, (i + 1) % 5) for i in range(5)]),
-        "interior point (0, -1) of cone (0, 3) also lies in cone (1, 2)"),
+        _wound([(-1, -1), (1, 2), (0, -1), (-1, 1), (1, 0)]),
+        "a generic point lies in 2 maximal cones"),
     # Smooth and facet-paired, but folded over: at two of its three walls
     # both cones lie on one side.
     "folded": (
@@ -178,57 +194,65 @@ def test_validate_invariant_under_relabelling_and_gl_n_z(corpus_fans,
 @given(data=st.data())
 def test_adversarial_fans_fail_under_relabelling_and_gl_n_z(transformed,
                                                             data):
-    fan, _ = ADVERSARIAL[data.draw(st.sampled_from(sorted(ADVERSARIAL)))]
-    _assert_invariant(fan, transformed(fan, data))
+    name = data.draw(st.sampled_from(sorted(ADVERSARIAL)))
+    fan, detail = ADVERSARIAL[name]
+    moved = transformed(fan, data)
+    _assert_invariant(fan, moved)
+    if "wound" in name:
+        # The covering degree is intrinsic, and so is its detail.
+        assert validate(moved).checks[-1].detail == detail
 
 
 def _rational_point_test(fan):
-    """The covering-degree point test with one Fraction solve per maximal
-    cone, independent of the adjugate table."""
-    first = fan.max_cones[0]
-    point = lattice.vector_sum([fan.rays[i] for i in first], fan.dim)
-    for c in fan.max_cones[1:]:
-        if all(x >= 0 for x in lattice.solve_in_basis(
-                [fan.rays[i] for i in c], point)):
-            return CheckResult("covering_degree", False,
-                               f"interior point {point} of cone {first} "
-                               f"also lies in cone {c}")
-    return CheckResult("covering_degree", True)
+    """Whether the sum of the rays of the first maximal cone, interior to
+    it, lies in no other closed maximal cone, with one Fraction solve per
+    cone, independent of the adjugate table. Once facet pairing and wall
+    orientation hold, that happens exactly when the covering degree is 1.
+    """
+    point = lattice.vector_sum([fan.rays[i] for i in fan.max_cones[0]],
+                               fan.dim)
+    return not any(
+        all(x >= 0 for x in lattice.solve_in_basis(
+            [fan.rays[i] for i in c], point))
+        for c in fan.max_cones[1:])
 
 
-def _point_test_matches_rational(fan):
-    """Whether validate reaches the point test on fan; where it does, its
-    covering-degree result must equal the rational reference's."""
+def _covering_degree_matches_rational(fan):
+    """Whether validate reaches the covering-degree count on fan; where it
+    does, that count must pass exactly when the rational point test does."""
     *earlier, result = validate(fan).checks
     if not all(c.passed for c in earlier) or "same side" in result.detail:
         return False
-    assert result == _rational_point_test(fan)
+    assert result.passed == _rational_point_test(fan)
     return True
 
 
-def test_point_test_matches_rational_on_the_corpus(all_corpus_fans):
-    assert all(_point_test_matches_rational(fan) for fan in all_corpus_fans)
+def test_covering_degree_matches_rational_point_test_on_the_corpus(
+        all_corpus_fans):
+    assert all(_covering_degree_matches_rational(fan)
+               for fan in all_corpus_fans)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_point_test_matches_rational_on_adversarial_fans(transformed, data):
+def test_covering_degree_matches_rational_point_test_on_adversarial_fans(
+        transformed, data):
     # Wall orientation is intrinsic, so the folded fans and their images
-    # never reach the point test, and the wound ones always do.
+    # never reach the count, and the wound ones always do.
     name = data.draw(st.sampled_from(sorted(ADVERSARIAL)))
     fan, _ = ADVERSARIAL[name]
-    wound = name.startswith("doubly_wound")
-    assert _point_test_matches_rational(fan) == wound
-    assert _point_test_matches_rational(transformed(fan, data)) == wound
+    wound = "wound" in name
+    assert _covering_degree_matches_rational(fan) == wound
+    assert _covering_degree_matches_rational(transformed(fan, data)) == wound
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_point_test_matches_rational_on_drawn_fans(drawn_fan, transformed,
-                                                   data):
+def test_covering_degree_matches_rational_point_test_on_drawn_fans(
+        drawn_fan, transformed, data):
     fan = drawn_fan(data)
-    assert _point_test_matches_rational(fan)
-    assert _point_test_matches_rational(transformed(fan, data))
+    assert _covering_degree_matches_rational(fan)
+    assert _covering_degree_matches_rational(transformed(fan, data))
 
 
 def test_walls_are_enumerated_once_per_fan(monkeypatch):

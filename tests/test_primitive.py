@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricfano import fan as fan_module
 from toricfano import fvector, primitive
 from toricfano.cli import _invariants_payload
 from toricfano.errors import NonIntegralCoefficient, SingularBasis
@@ -179,19 +180,24 @@ def test_closed_forms_beyond_the_oracle_limit():
 
 
 def test_face_counts_and_collections_run_once_per_fan(monkeypatch):
-    calls = {"_face_counts": [], "_minimal_non_faces": []}
-    for module, name in ((fvector, "_face_counts"),
-                         (primitive, "_minimal_non_faces")):
-        def counting(fan, compute=getattr(module, name), log=calls[name]):
+    # Validation and the face counts read one h count: it is patched in
+    # both modules with one wrapper, as Fan.cached keys on the function.
+    calls = {"_h_counts": [], "_face_counts": [], "_minimal_non_faces": []}
+    for modules, name in (((fan_module, fvector), "_h_counts"),
+                          ((fvector,), "_face_counts"),
+                          ((primitive,), "_minimal_non_faces")):
+        def counting(fan, compute=getattr(modules[0], name), log=calls[name]):
             log.append(fan)
             return compute(fan)
-        monkeypatch.setattr(module, name, counting)
+        for module in modules:
+            monkeypatch.setattr(module, name, counting)
     fan = _blown_up_product()
+    assert validate(fan).ok
     assert f_vector(fan).f == (1, 6, 12, 8)
     assert len(primitive_collections(fan)) == len(all_relations(fan)) == 5
     assert mukai_check(fan).dim_n == 3
     assert _invariants_payload(fan)["f_vector"] == [1, 6, 12, 8]
-    assert calls == {"_face_counts": [fan], "_minimal_non_faces": [fan]}
+    assert calls == {name: [fan] for name in calls}
 
 
 def test_a_ray_in_no_maximal_cone_is_a_primitive_collection():
