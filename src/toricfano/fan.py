@@ -5,14 +5,16 @@ A fan is stored combinatorially: an ambient rank, a tuple of primitive ray
 generators, and the maximal cones as sorted index tuples into the ray list.
 Cone references throughout the package are plain sorted index tuples; the
 empty tuple is the zero cone. Inside this module a cone is also an int bit
-mask, bit i for ray i, and the wall table is keyed by the walls' masks.
+mask, bit i for ray i, and the wall table is keyed by the walls' masks and
+names the cones at each wall by their indices in max_cones.
 Data derived from a fan (primitive relations, the wall table, wall curves,
 the scaled integer inverse of each maximal cone, the h-vector counts, the
 extremal classes of the Mori cone) is computed at most once per Fan object
-through Fan.cached. The inverses come from one walk across the walls, and
-the cones at a wall share the inverse columns that the crossing leaves
-unchanged. No other module reads them directly; validation and the face
-counts share one sign pass over them, the h-vector counts (_h_counts).
+through Fan.cached. The inverses come from one walk across the walls, which
+keeps its state by cone index, and the cones at a wall share the inverse
+columns that the crossing leaves unchanged. No other module reads them
+directly; validation and the face counts share one sign pass over them, the
+h-vector counts (_h_counts), which reads each shared column once.
 """
 
 from __future__ import annotations
@@ -72,13 +74,14 @@ def make_fan(dim: int, rays: Sequence[Sequence[int]],
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    rays = [tuple(int(x) for x in r) for r in rays]
+    rays = [tuple(map(int, r)) for r in rays]
     if not rays:
         raise ValueError("at least one ray is required")
     for r in rays:
         if len(r) != dim:
             raise ValueError(f"ray {r} does not have {dim} coordinates")
-    cones = [tuple(int(i) for i in c) for c in max_cones]
+    m = len(rays)
+    cones = [tuple(map(int, c)) for c in max_cones]
     if not cones:
         raise ValueError("at least one maximal cone is required")
     for c in cones:
@@ -86,14 +89,16 @@ def make_fan(dim: int, rays: Sequence[Sequence[int]],
             raise ValueError(f"maximal cone {c} does not have {dim} rays")
         if len(set(c)) != len(c):
             raise ValueError(f"maximal cone {c} repeats a ray index")
-        for i in c:
-            if not 0 <= i < len(rays):
-                raise ValueError(f"ray index {i} out of range")
-    order = sorted(range(len(rays)), key=lambda i: rays[i])
-    newpos = {old: new for new, old in enumerate(order)}
-    canon_rays = tuple(rays[i] for i in order)
-    canon_cones = tuple(sorted(tuple(sorted(newpos[i] for i in c))
-                               for c in cones))
+        if min(c) < 0 or max(c) >= m:
+            bad = next(i for i in c if not 0 <= i < m)
+            raise ValueError(f"ray index {bad} out of range")
+    order = sorted(range(m), key=rays.__getitem__)
+    newpos = [0] * m
+    for new, old in enumerate(order):
+        newpos[old] = new
+    canon_rays = tuple([rays[i] for i in order])
+    canon_cones = tuple(sorted([tuple(sorted(map(newpos.__getitem__, c)))
+                                for c in cones]))
     return Fan(dim, canon_rays, canon_cones)
 
 
@@ -156,18 +161,20 @@ def _check_smoothness(fan: Fan, dets: Sequence[int]) -> CheckResult:
     return CheckResult("smoothness", True)
 
 
-def _walls(fan: Fan) -> dict[int, tuple]:
-    """The wall table, read through fan.cached by validation and the wall
-    curves: the bit mask of each codimension-1 face (wall) -> one flat
-    tuple (cone, position, cone, position, ...) of the maximal cones
-    containing it, in max_cones order, so cone[position] is the cone's ray
-    off the wall. A valid fan has two sides per wall."""
-    walls: dict[int, tuple] = {}
+def _walls(fan: Fan) -> dict[int, tuple[int, ...]]:
+    """The wall table, read through fan.cached by validation, the cone walk
+    and the wall curves: the bit mask of each codimension-1 face (wall) ->
+    one flat tuple (cone, position, cone, position, ...) of the maximal
+    cones containing it, each cone by its index in max_cones, in that
+    order, so max_cones[cone][position] is the cone's ray off the wall. A
+    valid fan has two sides per wall."""
+    walls: dict[int, tuple[int, ...]] = {}
     get = walls.get
-    for c, mask in zip(fan.max_cones, fan.cached(_max_cone_masks)):
+    for index, (c, mask) in enumerate(zip(fan.max_cones,
+                                          fan.cached(_max_cone_masks))):
         for p, i in enumerate(c):
             wall = mask ^ (1 << i)
-            walls[wall] = get(wall, ()) + (c, p)
+            walls[wall] = get(wall, ()) + (index, p)
     return walls
 
 
@@ -190,13 +197,15 @@ def _cone_adjugates(fan: Fan) -> dict[ConeRef, ConeInverse]:
     N = |det| * A^-1 = sign(det) * adj A, so on a unimodular cone N is the
     exact integer inverse; cols is None when det is 0.
 
-    One breadth-first walk over the dual graph, read off the wall table.
-    The first cone not yet reached, in max_cones order, is a seed and gets
-    one lattice.adjugate; the walk then crosses each wall of a reached cone
-    c with det != 0 into the cone d on its other side. Let D = |det c|, k
-    the position of the ray that d drops and v the ray it takes instead,
-    and w = v * N, so v = (w / D) * A. Replacing row k of A by v
-    multiplies A on the left by the identity with row k replaced by w / D.
+    One breadth-first walk over the dual graph, read off the wall table;
+    the walk's queue and its table of reached cones hold cone indices, and
+    the dict is built from that table at the end. The first cone not yet
+    reached, in max_cones order, is a seed and gets one lattice.adjugate;
+    the walk then crosses each wall of a reached cone c with det != 0 into
+    the cone d on its other side. Let D = |det c|, k the position of the
+    ray that d drops and v the ray it takes instead, and w = v * N, so
+    v = (w / D) * A. Replacing row k of A by v multiplies A on the left by
+    the identity with row k replaced by w / D.
     Taking that to d's N (Reid 1983; Oda 1988):
     - d's determinant is (-1)^(k-q) * sign(det c) * w_k, where q is v's
       sorted position in d;
@@ -211,31 +220,33 @@ def _cone_adjugates(fan: Fan) -> dict[ConeRef, ConeInverse]:
     (0, None), and the walk goes on from no cone with det 0.
     """
     rays = fan.rays
+    cones = fan.max_cones
+    masks = fan.cached(_max_cone_masks)
     walls = fan.cached(_walls)
-    found: dict[ConeRef, ConeInverse | None] = dict.fromkeys(fan.max_cones)
-    for seed in fan.max_cones:
-        if found[seed] is not None:
+    found: list[ConeInverse | None] = [None] * len(cones)
+    for start, seed in enumerate(cones):
+        if found[start] is not None:
             continue
         det, adj = lattice.adjugate([rays[i] for i in seed])
         if adj is None:
-            found[seed] = (0, None)
+            found[start] = (0, None)
             continue
         sign = -1 if det < 0 else 1
-        found[seed] = (det, tuple([tuple([sign * x for x in col])
-                                   for col in zip(*adj)]))
-        queue = [seed]
+        found[start] = (det, tuple([tuple([sign * x for x in col])
+                                    for col in zip(*adj)]))
+        queue = [start]
         for c in queue:
             det, cols = found[c]
-            if cols is None:
-                continue
             size = abs(det)
-            mask = _mask_of(c)
-            for k, u in enumerate(c):
+            mask = masks[c]
+            for k, u in enumerate(cones[c]):
                 sides = walls[mask ^ (1 << u)]
-                for d, q in zip(sides[::2], sides[1::2]):
+                for i in range(0, len(sides), 2):
+                    d = sides[i]
                     if found[d] is not None:
                         continue
-                    v = rays[d[q]]
+                    q = sides[i + 1]
+                    v = rays[cones[d][q]]
                     w = [sum(map(mul, v, col)) for col in cols]
                     wk = w[k]
                     if wk == 0:
@@ -245,26 +256,24 @@ def _cone_adjugates(fan: Fan) -> dict[ConeRef, ConeInverse]:
                     # sign(w_k) * (w_k * x - w_j * y) is a * x - b * y with
                     # a = |w_k| and b = sign(w_k) * w_j.
                     a, flip = (wk, 1) if wk > 0 else (-wk, -1)
-                    unit = a == size
-                    new = []
-                    for j, (col, wj) in enumerate(zip(cols, w)):
+                    new = list(cols)
+                    for j in (range(len(w)) if a != size else
+                              [j for j, wj in enumerate(w) if wj]):
                         if j == k:
                             continue
-                        if unit and not wj:
-                            new.append(col)
-                            continue
-                        b = flip * wj
+                        b = flip * w[j]
                         # A list, not tuple(generator): such a tuple is made
                         # at a guessed length and shrunk, so once freed it
                         # joins another size's free list, which keeps up to
                         # 2000.
-                        new.append(tuple([(a * x - b * y) // size
-                                          for x, y in zip(col, ck)]))
+                        new[j] = tuple([(a * x - b * y) // size
+                                        for x, y in zip(new[j], ck)])
+                    del new[k]
                     new.insert(q, ck if flip == 1 else tuple([-x for x in ck]))
                     det_d = wk if det > 0 else -wk
                     found[d] = (-det_d if (k - q) % 2 else det_d, tuple(new))
                     queue.append(d)
-    return found
+    return dict(zip(cones, found))
 
 
 def _cone_coordinates(fan: Fan, cone: ConeRef,
@@ -291,17 +300,27 @@ def _h_counts(fan: Fan) -> tuple[int, ...]:
     as a base-M number, over |det|, so its sign is that of the column's
     last nonzero entry; no column of an invertible N is zero, so w lies on
     no cone's boundary. A cone with dependent rays raises SingularBasis.
+
+    The walk hands unchanged columns from cone to cone as the same tuple
+    objects (on (P^1)^10, 1033 distinct columns fill 10240 slots), so each
+    distinct column's sign is read once, keyed by its id, which stays
+    unique while the table holds the column.
     """
-    h = [0] * (fan.dim + 1)
-    for _, cols in fan.cached(_cone_adjugates).values():
+    table = fan.cached(_cone_adjugates).values()
+    distinct: dict[int, tuple[int, ...]] = {}
+    for _, cols in table:
         if cols is None:
             raise SingularBasis("basis vectors are linearly dependent")
-        lasts = (next(x for x in reversed(col) if x) for col in cols)
-        h[sum(x < 0 for x in lasts)] += 1
+        distinct.update(zip(map(id, cols), cols))
+    negative = {key: next(x for x in reversed(col) if x) < 0
+                for key, col in distinct.items()}
+    h = [0] * (fan.dim + 1)
+    for _, cols in table:
+        h[sum(map(negative.__getitem__, map(id, cols)))] += 1
     return tuple(h)
 
 
-def _check_covering_degree(fan: Fan) -> CheckResult:
+def _check_covering_degree(fan: Fan, dets: Sequence[int]) -> CheckResult:
     """Decide whether the cones cover R^n exactly once.
 
     Runs after every other check has passed, so each wall (facet) lies in
@@ -318,10 +337,10 @@ def _check_covering_degree(fan: Fan) -> CheckResult:
     puts it in exactly one face: the cones form a complete fan. The vector
     w of _h_counts lies on no cone's boundary, so d is h_0.
     """
-    table = fan.cached(_cone_adjugates)
-    folded = [((c, q), other, wall) for wall, (other, p, c, q)
+    cones = fan.max_cones
+    folded = [((cones[c], q), cones[other], wall) for wall, (other, p, c, q)
               in fan.cached(_walls).items()
-              if table[other][0] * (-1) ** p == table[c][0] * (-1) ** q]
+              if dets[other] * (-1) ** p == dets[c] * (-1) ** q]
     if folded:
         (c, _), other, wall = min(folded)
         return CheckResult(
@@ -355,7 +374,7 @@ def validate(fan: Fan) -> ValidationReport:
         _check_facet_pairing(fan),
     ]
     if all(c.passed for c in checks):
-        checks.append(_check_covering_degree(fan))
+        checks.append(_check_covering_degree(fan, dets))
     else:
         checks.append(CheckResult("covering_degree", False,
                                   "not attempted: earlier checks failed"))

@@ -76,9 +76,10 @@ def _wall_curves(fan: Fan) -> tuple[WallCurve, ...]:
     pairs: dict[tuple[int, int], tuple[int, int]] = {}
     # A wall's first side slices its ray tuple out of the cone, which is
     # cheaper than reading the bits of its mask.
+    cones = fan.max_cones
     walls = []
     for sides in fan.cached(_walls).values():
-        cone, pos = sides[0], sides[1]
+        cone, pos = cones[sides[0]], sides[1]
         walls.append((cone[:pos] + cone[pos + 1:], sides))
     walls.sort()
     for wall, sides in walls:
@@ -86,7 +87,7 @@ def _wall_curves(fan: Fan) -> tuple[WallCurve, ...]:
             raise UnpairedWall(
                 f"wall {wall} lies in {len(sides) // 2} maximal cones")
         cone_u, pos_u, cone_v, pos_v = sides
-        u, v = cone_u[pos_u], cone_v[pos_v]
+        u, v = cones[cone_u][pos_u], cones[cone_v][pos_v]
         basis = [fan.rays[i] for i in wall] + [fan.rays[u]]
         sol = lattice.solve_in_basis(basis, fan.rays[v])
         if sol[-1] != -1:

@@ -104,6 +104,15 @@ def _take_rows(lines: list[tuple[int, list[str]]], start: int, count: int,
         if len(tokens) != arity:
             raise FanSyntaxError(line, f"{what} line needs {arity} integers, "
                                        f"got {len(tokens)}")
+        # A well-formed row is read in C. A row that fails, on a token or
+        # on int()'s digit limit, is read again token by token, so the
+        # error names its first bad token.
+        if all(map(_INTEGER.fullmatch, tokens)):
+            try:
+                rows.append((line, list(map(int, tokens))))
+                continue
+            except ValueError:
+                pass
         rows.append((line, [_parse_int(t, line, what) for t in tokens]))
     return rows
 
@@ -122,10 +131,10 @@ def parse_fan_unchecked(text: str) -> Fan:
     rays = [tuple(row) for _, row in ray_rows]
     cones = []
     for line, row in cone_rows:
-        for idx in row:
-            if not 0 <= idx < m:
-                raise FanSyntaxError(line, f"ray index {idx} out of range "
-                                           f"0..{m - 1}")
+        if min(row) < 0 or max(row) >= m:
+            idx = next(i for i in row if not 0 <= i < m)
+            raise FanSyntaxError(line, f"ray index {idx} out of range "
+                                       f"0..{m - 1}")
         if len(set(row)) != n:
             raise FanSyntaxError(line, "repeated ray index in cone")
         cones.append(tuple(row))

@@ -50,6 +50,11 @@ def _minimal_non_faces(fan: Fan) -> tuple[Collection, ...]:
     extension holds another one, and none lies inside a transversal that
     stayed, so what is kept is again the minimal transversals. A
     complement that every transversal meets changes nothing.
+
+    An extension t | bit holds a stayed set s only when s meets the
+    complement in bit alone and s's other rays lie in t. So each missed t
+    gets one mask: the complement with the bit of every such s cleared,
+    and t is extended by the bits left in it.
     """
     everything = (1 << len(fan.rays)) - 1
     minimal = [0]
@@ -59,18 +64,20 @@ def _minimal_non_faces(fan: Fan) -> tuple[Collection, ...]:
         if not missed:
             continue
         minimal = [t for t in minimal if t & edge]
-        # t misses the complement, so t | bit meets it in bit alone: a set
-        # s that stayed lies inside t | bit only when s & edge is bit, and
-        # then when the rest of s lies inside t.
-        rests: dict[int, list[int]] = {}
+        # The stayed sets that meet the complement in one bit: their rests
+        # s & cone -> the bits they meet it in.
+        rests: dict[int, int] = {}
         for s in minimal:
             met = s & edge
             if not met & (met - 1):
-                rests.setdefault(met, []).append(s ^ met)
-        for bit in _bits(edge):
-            inside = rests.get(bit, ())
-            minimal += [t | bit for t in missed
-                        if all(r & t != r for r in inside)]
+                rest = s ^ met
+                rests[rest] = rests.get(rest, 0) | met
+        for t in missed:
+            free = edge
+            for rest, met in rests.items():
+                if rest & t == rest:
+                    free &= ~met
+            minimal += [t | bit for bit in _bits(free)]
     return tuple(sorted((_rays_of(mask) for mask in minimal),
                         key=lambda c: (len(c), c)))
 

@@ -15,6 +15,7 @@ from toricfano.errors import (
     DependentSpan,
     DimensionOutOfRange,
     NotACone,
+    SingularBasis,
 )
 from toricfano.fan import (
     construct_product,
@@ -287,7 +288,8 @@ def test_wall_table_under_relabelling_and_gl_n_z(drawn_fan, relabelled,
         for wall, sides in walls.items():
             assert len(sides) == 4
             assert all(fan_module._mask_of(c[:p] + c[p + 1:]) == wall
-                       for c, p in (sides[:2], sides[2:]))
+                       for c, p in ((f.max_cones[sides[0]], sides[1]),
+                                    (f.max_cones[sides[2]], sides[3])))
     assert set(moved.cached(fan_module._walls)) == {
         fan_module._mask_of(label[i] for i in fan_module._rays_of(wall))
         for wall in fan.cached(fan_module._walls)}
@@ -376,12 +378,13 @@ def test_adjugate_walk_hands_over_the_columns_a_unit_crossing_keeps(
     for fan in all_corpus_fans:
         table = fan.cached(fan_module._cone_adjugates)
         walls = fan.cached(fan_module._walls)
-        for d in fan.max_cones[1:]:
+        for index, d in enumerate(fan.max_cones[1:], start=1):
             cols_d = table[d][1]
             shares = []
             for q, v in enumerate(d):
                 sides = walls[fan_module._mask_of(d) ^ (1 << v)]
-                c, k = sides[:2] if sides[2] == d else sides[2:]
+                c, k = sides[:2] if sides[2] == index else sides[2:]
+                c = fan.max_cones[c]
                 det_c, cols_c = table[c]
                 w = [sum(x * y for x, y in zip(fan.rays[v], col))
                      for col in cols_c]
@@ -395,6 +398,53 @@ def test_adjugate_walk_hands_over_the_columns_a_unit_crossing_keeps(
     assert handed > 0
 
 
+def _h_by_column_slots(fan):
+    """h_0..h_n read off one lattice.adjugate per maximal cone, the sign of
+    every column slot scanned on its own: h_i counts the cones whose N has
+    i columns with a negative last nonzero entry. Raises SingularBasis
+    when some cone's rays are dependent."""
+    h = [0] * (fan.dim + 1)
+    for _, cols in _bareiss_inverses(fan).values():
+        if cols is None:
+            raise SingularBasis("a cone's rays are dependent")
+        h[sum(next(x for x in reversed(col) if x) < 0 for col in cols)] += 1
+    return tuple(h)
+
+
+def test_h_counts_match_a_scan_of_every_column_on_the_corpus(
+        all_corpus_fans):
+    for fan in all_corpus_fans:
+        assert fan.cached(fan_module._h_counts) == _h_by_column_slots(fan)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_h_counts_under_relabelling_and_gl_n_z(drawn_fan, transformed,
+                                               data):
+    fan = drawn_fan(data)
+    for f in (fan, transformed(fan, data)):
+        assert f.cached(fan_module._h_counts) == _h_by_column_slots(f)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_h_counts_on_arbitrary_rays(drawn_fan, data):
+    # Over small random rays some cones are singular, and the h counts
+    # must raise exactly then.
+    fan = drawn_fan(data)
+    rays = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * fan.dim),
+                              min_size=len(fan.rays),
+                              max_size=len(fan.rays)))
+    fan = make_fan(fan.dim, rays, fan.max_cones)
+    try:
+        expected = _h_by_column_slots(fan)
+    except SingularBasis:
+        with pytest.raises(SingularBasis):
+            fan_module._h_counts(fan)
+    else:
+        assert fan_module._h_counts(fan) == expected
+
+
 def _assert_wall_coordinates(fan):
     """At each wall, the ray v opposite u, in the coordinates of the cone
     of u: numerator -det at u and det * c_i at each wall ray x_i, with the
@@ -402,7 +452,8 @@ def _assert_wall_coordinates(fan):
     relations = {w.wall: w.relation for w in wall_curves(fan)}
     for mask, sides in fan.cached(fan_module._walls).items():
         wall = fan_module._rays_of(mask)
-        for cone_u, pos_u, cone_v, pos_v in (sides, sides[2:] + sides[:2]):
+        for u, pos_u, v, pos_v in (sides, sides[2:] + sides[:2]):
+            cone_u, cone_v = fan.max_cones[u], fan.max_cones[v]
             numerators, det = fan_module._cone_coordinates(
                 fan, cone_u, fan.rays[cone_v[pos_v]])
             assert numerators[pos_u] == -det

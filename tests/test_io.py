@@ -111,6 +111,54 @@ def test_overlong_integer_names_the_digit_limit(tmp_path, capsys):
     assert "100000 digits" in err and str(sys.get_int_max_str_digits()) in err
 
 
+SPACE = "FAN 3 4 4\n1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
+SIMPLEX = "POLY 3 4\n1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n"
+
+
+@pytest.mark.parametrize("text, parse, line, token, what", [
+    (SPACE.replace("0 1 0\n", "1 x 1_0\n", 1), parse_fan_unchecked,
+     3, "x", "ray"),
+    (SPACE.replace("0 1 3\n", "0 \u0661 z\n", 1), parse_fan_unchecked,
+     7, "\u0661", "cone"),
+    (SIMPLEX.replace("0 0 1\n", "++1 - 1\n", 1), parse_polytope_unchecked,
+     4, "++1", "vertex"),
+], ids=["ray", "cone", "vertex"])
+def test_a_row_names_its_first_bad_token(text, parse, line, token, what):
+    with pytest.raises(FanSyntaxError) as err:
+        parse(text)
+    assert err.value.line == line
+    assert err.value.reason == \
+        f"expected an integer, got {token!r} ({what})"
+
+
+def test_the_digit_limit_comes_before_a_later_bad_token():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(FanSyntaxError) as err:
+            parse_fan_unchecked(SPACE.replace("0 1 0\n",
+                                              f"1 {'9' * 5000} x\n", 1))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert err.value.line == 3
+    assert err.value.reason == \
+        "integer has 5000 digits, above the limit of 4300 (ray)"
+
+
+def test_the_first_index_out_of_range_is_named():
+    with pytest.raises(FanSyntaxError) as err:
+        parse_fan_unchecked(SPACE.replace("0 2 3\n", "5 -1 9\n", 1))
+    assert err.value.line == 8
+    assert err.value.reason == "ray index 5 out of range 0..3"
+    rays = [(1, 0), (0, 1), (-1, -1)]
+    for cones, message in (([(0, 1), (5, -1), (-2, 7)], "ray index 5"),
+                           ([(0, 1), (-1, 5), (9, 0)], "ray index -1"),
+                           ([(0, 9), (1, 1)], "ray index 9"),
+                           ([(1, 1), (0, 9)], "maximal cone .* repeats")):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            make_fan(2, rays, cones)
+
+
 # Characters that str.splitlines() treats as line ends but a file read
 # with universal newlines does not: VT, FF, FS, GS, RS, NEL, U+2028, U+2029.
 _NON_BREAKS = {"VT": "\x0b", "FF": "\x0c", "FS": "\x1c", "GS": "\x1d",

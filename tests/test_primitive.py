@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from functools import reduce
+from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toricfano import fan as fan_module
@@ -206,6 +207,48 @@ def test_a_ray_in_no_maximal_cone_is_a_primitive_collection():
                    [(0, 1), (1, 2), (0, 2)])
     assert primitive_collections(fan) == \
         oracle_primitive_collections(fan) == [(3,), (0, 1, 2)]
+
+
+def _brute_minimal_non_faces(fan):
+    """Every subset of the rays that lies in no maximal cone while each of
+    its subsets with one ray fewer does, in (size, tuple) order."""
+    cones = [set(c) for c in fan.max_cones]
+
+    def is_face(subset):
+        return any(cone.issuperset(subset) for cone in cones)
+
+    return [subset for k in range(1, len(fan.rays) + 1)
+            for subset in combinations(range(len(fan.rays)), k)
+            if not is_face(subset)
+            and all(is_face(subset[:i] + subset[i + 1:]) for i in range(k))]
+
+
+@st.composite
+def _hypergraphs(draw):
+    """make_fan over up to 10 random rays and a random list of cones: the
+    cones need not form a fan, may repeat, and may leave rays out."""
+    dim = draw(st.integers(1, 4))
+    m = draw(st.integers(dim, 10))
+    rays = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim),
+                         min_size=m, max_size=m))
+    cones = draw(st.lists(st.lists(st.integers(0, m - 1), min_size=dim,
+                                   max_size=dim, unique=True),
+                          min_size=1, max_size=12))
+    return make_fan(dim, rays, cones)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fan=_hypergraphs())
+# The second cone (0, 1) repeats the first, so every transversal meets its
+# complement.
+@example(fan=make_fan(2, [(1, 0), (0, 1), (-1, -1)],
+                      [(0, 1), (0, 1), (1, 2)]))
+# The ray (1, 1), index 3, lies in no cone.
+@example(fan=make_fan(2, [(1, 0), (0, 1), (-1, -1), (1, 1)],
+                      [(0, 1), (1, 2), (0, 2)]))
+def test_berge_finds_the_minimal_non_faces_of_arbitrary_hypergraphs(fan):
+    assert list(primitive._minimal_non_faces(fan)) == \
+        _brute_minimal_non_faces(fan)
 
 
 # The fan of the del Pezzo surface of degree 6, over the hexagon.
