@@ -10,15 +10,17 @@ names the cones at each wall by their indices in max_cones.
 Data derived from a fan (primitive relations, the wall table, wall curves,
 the scaled integer inverse of each maximal cone, the h-vector counts, the
 extremal classes of the Mori cone) is computed at most once per Fan object
-through Fan.cached. The inverses come from one walk across the walls, which
-keeps its state by cone index, and the cones at a wall share the inverse
-columns that the crossing leaves unchanged. No other module reads them
-directly; validation and the face counts share one sign pass over them, the
-h-vector counts (_h_counts), which reads each shared column once.
+through Fan.cached, the inverses as a tuple indexed by cone: a walk across
+the unit crossings between unimodular cones fills it, sharing the columns
+a crossing leaves unchanged, and every other cone gets its own adjugate.
+No other module reads the inverses directly; validation and the face counts
+share one sign pass over them, the h-vector counts (_h_counts), which reads
+each shared column once.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
@@ -63,25 +65,38 @@ class Fan:
         return memo[compute]
 
 
+def _integers(row: Sequence[object], what: str) -> tuple[int, ...]:
+    """row as a tuple of ints, by operator.index: a float or a string
+    raises ValueError naming it, where int() would truncate or parse it."""
+    try:
+        return tuple(map(operator.index, row))
+    except TypeError:
+        for x in row:
+            if not hasattr(x, "__index__"):
+                raise ValueError(f"{what} {x!r} is not an integer") from None
+        raise
+
+
 def make_fan(dim: int, rays: Sequence[Sequence[int]],
              max_cones: Iterable[Sequence[int]]) -> Fan:
     """Build a Fan in canonical form.
 
     Rays are sorted lexicographically, cone indices remapped accordingly,
     each cone sorted, and the cone list sorted. Only structural problems
-    raise here (wrong arities, bad indices); mathematical validity is the
-    business of validate().
+    raise here (wrong arities, bad indices, entries that are not integers);
+    mathematical validity is the business of validate().
     """
+    (dim,) = _integers([dim], "dim")
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    rays = [tuple(map(int, r)) for r in rays]
+    rays = [_integers(r, "ray coordinate") for r in rays]
     if not rays:
         raise ValueError("at least one ray is required")
     for r in rays:
         if len(r) != dim:
             raise ValueError(f"ray {r} does not have {dim} coordinates")
     m = len(rays)
-    cones = [tuple(map(int, c)) for c in max_cones]
+    cones = [_integers(c, "ray index") for c in max_cones]
     if not cones:
         raise ValueError("at least one maximal cone is required")
     for c in cones:
@@ -191,33 +206,25 @@ def _check_facet_pairing(fan: Fan) -> CheckResult:
 ConeInverse = tuple[int, tuple[tuple[int, ...], ...] | None]
 
 
-def _cone_adjugates(fan: Fan) -> dict[ConeRef, ConeInverse]:
-    """Each maximal cone -> (det, cols), in max_cones order. A is the
+def _cone_adjugates(fan: Fan) -> tuple[ConeInverse, ...]:
+    """(det, cols) for each maximal cone, in max_cones order. A is the
     matrix whose rows are the cone's rays, and cols holds the n columns of
     N = |det| * A^-1 = sign(det) * adj A, so on a unimodular cone N is the
     exact integer inverse; cols is None when det is 0.
 
-    One breadth-first walk over the dual graph, read off the wall table;
-    the walk's queue and its table of reached cones hold cone indices, and
-    the dict is built from that table at the end. The first cone not yet
-    reached, in max_cones order, is a seed and gets one lattice.adjugate;
-    the walk then crosses each wall of a reached cone c with det != 0 into
-    the cone d on its other side. Let D = |det c|, k the position of the
-    ray that d drops and v the ray it takes instead, and w = v * N, so
-    v = (w / D) * A. Replacing row k of A by v multiplies A on the left by
-    the identity with row k replaced by w / D.
-    Taking that to d's N (Reid 1983; Oda 1988):
-    - d's determinant is (-1)^(k-q) * sign(det c) * w_k, where q is v's
-      sorted position in d;
-    - v's column is sign(w_k) * col_k, moved to position q;
-    - every other column j is sign(w_k) * (w_k * col_j - w_j * col_k) / D.
-    The numerator is D times a column of the integer matrix N of d, so the
-    division is exact, on any cone and not only a unimodular one. When
-    |w_k| = D, as on every crossing of a smooth fan, a column with w_j = 0
-    is column j itself: d shares that tuple with c, as it shares col_k
-    when w_k > 0, and the crossing builds only the columns of the rays in
-    v's relation u + v = sum c_i x_i. A crossing with w_k = 0 gives
-    (0, None), and the walk goes on from no cone with det 0.
+    Each cone not yet reached, in max_cones order, gets its own
+    lattice.adjugate; from a unimodular one a breadth-first walk over the
+    dual graph, read off the wall table, crosses each wall of a reached
+    cone c into the cone d on its other side. Let k be the position of the
+    ray u that d drops, v the ray it takes instead, q v's position in d,
+    and w = v * N, so v = w * A and det d = (-1)^(k-q) * det c * w_k
+    (Reid 1983; Oda 1988). The walk enters d only when w_k = +-1, so d is
+    unimodular too, and then:
+    - v's column is w_k * col_k, moved to position q;
+    - every other column j is col_j - w_k * w_j * col_k.
+    A column with w_j = 0 is column j itself: d shares that tuple with c,
+    as it shares col_k when w_k = 1, and the crossing builds only the
+    columns of the rays in v's relation u + v = sum c_i x_i.
     """
     rays = fan.rays
     cones = fan.max_cones
@@ -228,16 +235,12 @@ def _cone_adjugates(fan: Fan) -> dict[ConeRef, ConeInverse]:
         if found[start] is not None:
             continue
         det, adj = lattice.adjugate([rays[i] for i in seed])
-        if adj is None:
-            found[start] = (0, None)
-            continue
         sign = -1 if det < 0 else 1
-        found[start] = (det, tuple([tuple([sign * x for x in col])
-                                    for col in zip(*adj)]))
-        queue = [start]
+        found[start] = (det, None if adj is None else tuple(
+            [tuple([sign * x for x in col]) for col in zip(*adj)]))
+        queue = [start] if abs(det) == 1 else []
         for c in queue:
             det, cols = found[c]
-            size = abs(det)
             mask = masks[c]
             for k, u in enumerate(cones[c]):
                 sides = walls[mask ^ (1 << u)]
@@ -249,44 +252,39 @@ def _cone_adjugates(fan: Fan) -> dict[ConeRef, ConeInverse]:
                     v = rays[cones[d][q]]
                     w = [sum(map(mul, v, col)) for col in cols]
                     wk = w[k]
-                    if wk == 0:
-                        found[d] = (0, None)
+                    if wk != 1 and wk != -1:
                         continue
                     ck = cols[k]
-                    # sign(w_k) * (w_k * x - w_j * y) is a * x - b * y with
-                    # a = |w_k| and b = sign(w_k) * w_j.
-                    a, flip = (wk, 1) if wk > 0 else (-wk, -1)
                     new = list(cols)
-                    for j in (range(len(w)) if a != size else
-                              [j for j, wj in enumerate(w) if wj]):
-                        if j == k:
-                            continue
-                        b = flip * w[j]
-                        # A list, not tuple(generator): such a tuple is made
-                        # at a guessed length and shrunk, so once freed it
-                        # joins another size's free list, which keeps up to
-                        # 2000.
-                        new[j] = tuple([(a * x - b * y) // size
-                                        for x, y in zip(new[j], ck)])
+                    for j, wj in enumerate(w):
+                        if wj and j != k:
+                            b = wk * wj
+                            # A list, not tuple(generator): such a tuple is
+                            # made at a guessed length and shrunk, so once
+                            # freed it joins another size's free list, which
+                            # keeps up to 2000.
+                            new[j] = tuple([x - b * y
+                                            for x, y in zip(new[j], ck)])
                     del new[k]
-                    new.insert(q, ck if flip == 1 else tuple([-x for x in ck]))
-                    det_d = wk if det > 0 else -wk
+                    new.insert(q, ck if wk == 1 else tuple([-x for x in ck]))
+                    det_d = det * wk
                     found[d] = (-det_d if (k - q) % 2 else det_d, tuple(new))
                     queue.append(d)
-    return dict(zip(cones, found))
+    return tuple(found)
 
 
-def _cone_coordinates(fan: Fan, cone: ConeRef,
+def _cone_coordinates(fan: Fan, index: int,
                       target: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """(numerators, size) with target = sum(numerators[i] / size * ray_i)
-    over the rays of the maximal cone, where size = |det| > 0, from the
-    fan's cached table; raises SingularBasis when the cone's rays are
-    dependent. The primitive relations and the quotient fans use it.
+    over the rays of the maximal cone max_cones[index], where
+    size = |det| > 0, from the fan's cached table; raises SingularBasis
+    when the cone's rays are dependent. The primitive relations and the
+    quotient fans use it.
 
     The rays are the rows of a matrix A, so the coordinates are
     target * A^-1, and |det| * A^-1 is the table's N.
     """
-    det, cols = fan.cached(_cone_adjugates)[cone]
+    det, cols = fan.cached(_cone_adjugates)[index]
     if cols is None:
         raise SingularBasis("basis vectors are linearly dependent")
     return tuple([sum(map(mul, col, target)) for col in cols]), abs(det)
@@ -306,7 +304,7 @@ def _h_counts(fan: Fan) -> tuple[int, ...]:
     distinct column's sign is read once, keyed by its id, which stays
     unique while the table holds the column.
     """
-    table = fan.cached(_cone_adjugates).values()
+    table = fan.cached(_cone_adjugates)
     distinct: dict[int, tuple[int, ...]] = {}
     for _, cols in table:
         if cols is None:
@@ -364,8 +362,7 @@ def validate(fan: Fan) -> ValidationReport:
     Deterministic; returns a structured report, and mathematically invalid
     fans never raise.
     """
-    table = fan.cached(_cone_adjugates)
-    dets = [table[c][0] for c in fan.max_cones]
+    dets = [det for det, _ in fan.cached(_cone_adjugates)]
     checks = [
         _check_primitivity(fan),
         _check_distinctness(fan),
@@ -525,14 +522,15 @@ def invariant_subvariety_fan(fan: Fan, sigma: Sequence[int]) -> QuotientFan:
     # on a cone with det -1 the quotient's rays are the negated
     # coordinates; _cone_coordinates gives |det| times them.
     cone = containing[0]
-    det = fan.cached(_cone_adjugates)[cone][0]
+    index = fan.max_cones.index(cone)
+    det = fan.cached(_cone_adjugates)[index][0]
     if det == 0:
         raise DependentSpan(f"the rays of cone {cone} are linearly dependent")
     sign = -1 if det < 0 else 1
     outside = [p for p, i in enumerate(cone) if i not in sigma_set]
     projected: dict[int, IntVector] = {}
     for u in sorted({u for c in containing for u in c} - sigma_set):
-        nums, _ = _cone_coordinates(fan, cone, fan.rays[u])
+        nums, _ = _cone_coordinates(fan, index, fan.rays[u])
         # On a valid fan the image is already primitive.
         projected[u] = lattice.make_primitive(
             [sign * nums[p] for p in outside])

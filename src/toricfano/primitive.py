@@ -109,8 +109,8 @@ def primitive_relation(fan: Fan, collection: Sequence[int]) -> PrimitiveRelation
         coeffs: tuple[int, ...] = ()
     else:
         located = None
-        for cone in fan.max_cones:
-            nums, size = _cone_coordinates(fan, cone, s)
+        for index, cone in enumerate(fan.max_cones):
+            nums, size = _cone_coordinates(fan, index, s)
             if all(x >= 0 for x in nums):
                 located = (cone, nums, size)
                 break

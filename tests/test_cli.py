@@ -131,7 +131,7 @@ def test_mukai_reads_no_cone_coordinates(monkeypatch, capsys):
     # primitive collection sums to zero, so nothing is located in a cone.
     path = corpus_directory() / "product_1x1x1x1.fan"
 
-    def no_coordinates(fan, cone, target):
+    def no_coordinates(fan, index, target):
         raise AssertionError("mukai read cone coordinates")
 
     def no_solve(basis, target):

@@ -88,11 +88,30 @@ def test_validate_catches_missing_cone():
         "facets not shared by exactly two maximal cones: [(0,), (2,)]"
 
 
+def test_make_fan_rejects_entries_that_are_not_integers():
+    for dim, rays, cones, message in (
+            (1, [(1.7,), (-1,)], [(0,), (1,)], "ray coordinate 1.7"),
+            (1, [(1,), (-1,)], [(0,), (1.9,)], "ray index 1.9"),
+            (1, [("0",), (-1,)], [(0,), (1,)], "ray coordinate '0'"),
+            (1.0, [(1,), (-1,)], [(0,), (1,)], "dim 1.0")):
+        with pytest.raises(ValueError, match=f"^{message} is not an integer"):
+            make_fan(dim, rays, cones)
+
+
+# The weighted projective space P(1, 1, 1, 2): smooth but for one cone of
+# determinant 2, which no walk out of a unimodular cone enters.
+WEIGHTED = make_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)],
+                    [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
 def test_validate_catches_singular_cone():
     fan = make_fan(2, [(1, 0), (-1, 2), (0, -1)],
                    [(0, 1), (1, 2), (0, 2)])
     report = validate(fan)
     assert "smoothness" in report.failed_names
+    report = validate(WEIGHTED)
+    assert report.failed_names == ["smoothness", "covering_degree"]
+    assert report.checks[3].detail == "cone (0, 2, 3) has determinant 2"
 
 
 def test_validate_is_deterministic():
@@ -297,21 +316,22 @@ def test_wall_table_under_relabelling_and_gl_n_z(drawn_fan, relabelled,
 
 def _bareiss_inverses(fan):
     """The cone table as one lattice.adjugate per maximal cone: det, and
-    the columns of sign(det) * adj, or None when det is 0."""
-    table = {}
+    the columns of sign(det) * adj, or None when det is 0, in max_cones
+    order."""
+    table = []
     for c in fan.max_cones:
         det, adj = lattice.adjugate([fan.rays[i] for i in c])
         sign = -1 if det < 0 else 1
-        table[c] = (det, None if adj is None else
-                    tuple(tuple(sign * x for x in column)
-                          for column in zip(*adj)))
-    return table
+        table.append((det, None if adj is None else
+                      tuple(tuple(sign * x for x in column)
+                            for column in zip(*adj))))
+    return tuple(table)
 
 
 def _assert_walk_matches_bareiss(fan):
     walked = fan.cached(fan_module._cone_adjugates)
-    assert list(walked) == list(fan.max_cones)
-    assert list(walked.items()) == list(_bareiss_inverses(fan).items())
+    assert type(walked) is tuple and len(walked) == len(fan.max_cones)
+    assert walked == _bareiss_inverses(fan)
 
 
 def test_adjugate_walk_matches_bareiss_on_the_corpus(all_corpus_fans):
@@ -357,14 +377,24 @@ def test_adjugate_walk_seeds_once_per_component(monkeypatch):
     # singular, so the walk starts again from (1, 3) and reaches (2, 3).
     singular_seed = make_fan(2, [(-1, 0), (0, -1), (0, 1), (1, 0)],
                              [(0, 3), (1, 3), (2, 3)])
-    expected = {f: _bareiss_inverses(f) for f in (fan, singular_seed)}
+    # A new Fan, whose table no other test has cached.
+    weighted = make_fan(3, WEIGHTED.rays, WEIGHTED.max_cones)
+    expected = {f: _bareiss_inverses(f)
+                for f in (fan, singular_seed, weighted)}
     monkeypatch.setattr(lattice, "adjugate", counting)
     assert fan.cached(fan_module._cone_adjugates) == expected[fan]
     assert len(seeds) == 1
     seeds.clear()
     table = singular_seed.cached(fan_module._cone_adjugates)
-    assert list(table.items()) == list(expected[singular_seed].items())
-    assert table[(0, 3)] == (0, None)
+    assert table == expected[singular_seed]
+    assert table[singular_seed.max_cones.index((0, 3))] == (0, None)
+    assert len(seeds) == 2
+    # The walk from the unimodular seed (0, 1, 2) does not cross into the
+    # cone (0, 2, 3) of determinant 2, which gets its own adjugate.
+    seeds.clear()
+    table = weighted.cached(fan_module._cone_adjugates)
+    assert table == expected[weighted]
+    assert table[weighted.max_cones.index((0, 2, 3))][0] == 2
     assert len(seeds) == 2
 
 
@@ -379,13 +409,13 @@ def test_adjugate_walk_hands_over_the_columns_a_unit_crossing_keeps(
         table = fan.cached(fan_module._cone_adjugates)
         walls = fan.cached(fan_module._walls)
         for index, d in enumerate(fan.max_cones[1:], start=1):
-            cols_d = table[d][1]
+            cols_d = table[index][1]
             shares = []
             for q, v in enumerate(d):
                 sides = walls[fan_module._mask_of(d) ^ (1 << v)]
                 c, k = sides[:2] if sides[2] == index else sides[2:]
-                c = fan.max_cones[c]
                 det_c, cols_c = table[c]
+                c = fan.max_cones[c]
                 w = [sum(x * y for x, y in zip(fan.rays[v], col))
                      for col in cols_c]
                 assert abs(w[k]) == abs(det_c) == 1
@@ -404,7 +434,7 @@ def _h_by_column_slots(fan):
     i columns with a negative last nonzero entry. Raises SingularBasis
     when some cone's rays are dependent."""
     h = [0] * (fan.dim + 1)
-    for _, cols in _bareiss_inverses(fan).values():
+    for _, cols in _bareiss_inverses(fan):
         if cols is None:
             raise SingularBasis("a cone's rays are dependent")
         h[sum(next(x for x in reversed(col) if x) < 0 for col in cols)] += 1
@@ -453,9 +483,8 @@ def _assert_wall_coordinates(fan):
     for mask, sides in fan.cached(fan_module._walls).items():
         wall = fan_module._rays_of(mask)
         for u, pos_u, v, pos_v in (sides, sides[2:] + sides[:2]):
-            cone_u, cone_v = fan.max_cones[u], fan.max_cones[v]
             numerators, det = fan_module._cone_coordinates(
-                fan, cone_u, fan.rays[cone_v[pos_v]])
+                fan, u, fan.rays[fan.max_cones[v][pos_v]])
             assert numerators[pos_u] == -det
             rest = numerators[:pos_u] + numerators[pos_u + 1:]
             assert all(x % det == 0 for x in rest)

@@ -126,3 +126,16 @@ def test_every_public_name_is_exported_or_used():
         and isinstance(top, (ast.FunctionDef, ast.ClassDef))
         and not name.startswith("_") and name not in exported)
     assert not unused, f"public names neither exported nor used: {unused}"
+
+
+def test_only_fan_names_the_cone_table():
+    # The other modules read the table through _cone_coordinates,
+    # validate or _h_counts; an import of it counts as naming it.
+    naming = []
+    for module in MODULES + ["__init__"]:
+        tree = _tree(module)
+        imported = {a.name for a in ast.walk(tree)
+                    if isinstance(a, ast.alias)}
+        if "_cone_adjugates" in _mentioned(tree) | imported:
+            naming.append(module)
+    assert naming == ["fan"]
