@@ -65,15 +65,22 @@ class Fan:
         return memo[compute]
 
 
-def _integers(row: Sequence[object], what: str) -> tuple[int, ...]:
-    """row as a tuple of ints, by operator.index: a float or a string
-    raises ValueError naming it, where int() would truncate or parse it."""
+def _integers(row: object, what: str, entry: str) -> tuple[int, ...]:
+    """row, a what, as a tuple of ints, by operator.index: an entry that is
+    a float or a string raises ValueError naming it as entry, where int()
+    would truncate or parse it, and a row that is not iterable, such as a
+    bare integer, raises ValueError naming it as what."""
+    try:
+        row = tuple(row)
+    except TypeError:
+        raise ValueError(f"{what} {row!r} is not a sequence of integers") \
+            from None
     try:
         return tuple(map(operator.index, row))
     except TypeError:
         for x in row:
             if not hasattr(x, "__index__"):
-                raise ValueError(f"{what} {x!r} is not an integer") from None
+                raise ValueError(f"{entry} {x!r} is not an integer") from None
         raise
 
 
@@ -83,20 +90,20 @@ def make_fan(dim: int, rays: Sequence[Sequence[int]],
 
     Rays are sorted lexicographically, cone indices remapped accordingly,
     each cone sorted, and the cone list sorted. Only structural problems
-    raise here (wrong arities, bad indices, entries that are not integers);
-    mathematical validity is the business of validate().
+    raise here (wrong arities, bad indices, entries that are not integers),
+    as ValueError; mathematical validity is the business of validate().
     """
-    (dim,) = _integers([dim], "dim")
+    (dim,) = _integers([dim], "dim", "dim")
     if dim < 1:
         raise ValueError("dim must be at least 1")
-    rays = [_integers(r, "ray coordinate") for r in rays]
+    rays = [_integers(r, "ray", "ray coordinate") for r in rays]
     if not rays:
         raise ValueError("at least one ray is required")
     for r in rays:
         if len(r) != dim:
             raise ValueError(f"ray {r} does not have {dim} coordinates")
     m = len(rays)
-    cones = [_integers(c, "ray index") for c in max_cones]
+    cones = [_integers(c, "maximal cone", "ray index") for c in max_cones]
     if not cones:
         raise ValueError("at least one maximal cone is required")
     for c in cones:
@@ -107,6 +114,16 @@ def make_fan(dim: int, rays: Sequence[Sequence[int]],
         if min(c) < 0 or max(c) >= m:
             bad = next(i for i in c if not 0 <= i < m)
             raise ValueError(f"ray index {bad} out of range")
+    return _canonical_fan(dim, rays, cones)
+
+
+def _canonical_fan(dim: int, rays: list[tuple[int, ...]],
+                   cones: Iterable[Sequence[int]]) -> Fan:
+    """The canonical Fan of rows that already passed make_fan's checks:
+    int tuples of dim coordinates, and cones of dim distinct indices into
+    rays. make_fan and the `.fan` reader, which checks its rows as a
+    block, both end here."""
+    m = len(rays)
     order = sorted(range(m), key=rays.__getitem__)
     newpos = [0] * m
     for new, old in enumerate(order):

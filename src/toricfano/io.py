@@ -16,6 +16,14 @@ integers each, then c cone lines of n ray indices each. The `.poly` grammar:
 `POLY <n> <m>` followed by m vertex lines. Blank lines and `#` comments are
 ignored everywhere. Integers are ASCII `[+-]?[0-9]+`, within int()'s digit
 limit; any other token is a syntax error.
+
+Each block of rows (rays, cones, vertices) is read in a few C-level calls:
+the arity of every row, one token check over the block, one map(int), and
+for cones one min and one max over all indices and one set per row. A
+block that fails any of these is read or checked again row by row, so the
+error names the same line and the same first bad token as a row-by-row
+reader would. The checked rows go straight to the canonical form that
+make_fan ends in, without make_fan's own checks.
 """
 
 from __future__ import annotations
@@ -24,6 +32,8 @@ import json
 import re
 import reprlib
 import sys
+from itertools import chain
+from operator import itemgetter
 from typing import Sequence
 
 from . import lattice
@@ -33,7 +43,7 @@ from .errors import (
     OriginNotInterior,
     SingularBasis,
 )
-from .fan import Fan, make_fan, require_valid
+from .fan import Fan, _canonical_fan, make_fan, require_valid
 
 
 _LINE_BREAK = re.compile(r"\r\n?|\n")
@@ -94,8 +104,30 @@ def _parse_header(lines: list[tuple[int, list[str]]], tag: str,
 
 
 def _take_rows(lines: list[tuple[int, list[str]]], start: int, count: int,
-               arity: int, what: str) -> list[tuple[int, list[int]]]:
-    rows = []
+               arity: int, what: str) -> list[int]:
+    """The count rows of arity integers from lines[start], flattened, read
+    as one block: the arity of every row, one token check over the joined
+    block, and one map(int). int() takes exactly `[+-]?[0-9]+` once the
+    tokens are ASCII and free of `_`. A block that fails any of these, or
+    int()'s digit limit, is read again row by row, so the error names the
+    same line and first bad token as a row-by-row read would."""
+    rows = list(map(itemgetter(1), lines[start:start + count]))
+    if len(rows) == count and all(map(arity.__eq__, map(len, rows))):
+        tokens = list(chain.from_iterable(rows))
+        joined = "".join(tokens)
+        if joined.isascii() and "_" not in joined:
+            try:
+                return list(map(int, tokens))
+            except ValueError:
+                pass
+    return _rows_one_by_one(lines, start, count, arity, what)
+
+
+def _rows_one_by_one(lines: list[tuple[int, list[str]]], start: int,
+                     count: int, arity: int, what: str) -> list[int]:
+    """_take_rows, one row at a time: a block that failed comes here, and
+    its first bad row raises FanSyntaxError."""
+    out = []
     for i in range(count):
         if start + i >= len(lines):
             raise FanSyntaxError(lines[-1][0] + 1, f"expected {count} "
@@ -104,41 +136,40 @@ def _take_rows(lines: list[tuple[int, list[str]]], start: int, count: int,
         if len(tokens) != arity:
             raise FanSyntaxError(line, f"{what} line needs {arity} integers, "
                                        f"got {len(tokens)}")
-        # A well-formed row is read in C. A row that fails, on a token or
-        # on int()'s digit limit, is read again token by token, so the
-        # error names its first bad token.
-        if all(map(_INTEGER.fullmatch, tokens)):
-            try:
-                rows.append((line, list(map(int, tokens))))
-                continue
-            except ValueError:
-                pass
-        rows.append((line, [_parse_int(t, line, what) for t in tokens]))
-    return rows
+        out.extend([_parse_int(t, line, what) for t in tokens])
+    return out
+
+
+def _tuples(flat: list[int], arity: int) -> list[tuple[int, ...]]:
+    """flat cut into consecutive tuples of arity entries."""
+    return list(zip(*[iter(flat)] * arity))
 
 
 def parse_fan_unchecked(text: str) -> Fan:
     """Parse the `.fan` grammar without running mathematical validation."""
     lines = _significant_lines(text)
     header, (n, m, c) = _parse_header(lines, "FAN", 3)
-    ray_rows = _take_rows(lines, 1, m, n, "ray")
-    cone_rows = _take_rows(lines, 1 + m, c, n, "cone")
+    rays = _tuples(_take_rows(lines, 1, m, n, "ray"), n)
+    indices = _take_rows(lines, 1 + m, c, n, "cone")
     if len(lines) > 1 + m + c:
         raise FanSyntaxError(lines[1 + m + c][0], "trailing content")
     if m == 0 or c == 0:
         raise FanSyntaxError(header, "a fan needs at least one ray and one "
                                      "maximal cone")
-    rays = [tuple(row) for _, row in ray_rows]
-    cones = []
-    for line, row in cone_rows:
-        if min(row) < 0 or max(row) >= m:
-            idx = next(i for i in row if not 0 <= i < m)
-            raise FanSyntaxError(line, f"ray index {idx} out of range "
-                                       f"0..{m - 1}")
-        if len(set(row)) != n:
-            raise FanSyntaxError(line, "repeated ray index in cone")
-        cones.append(tuple(row))
-    return make_fan(n, rays, cones)
+    cones = _tuples(indices, n)
+    # One min and one max over the block for the index range, one set per
+    # row for repeats; a block that fails is checked again row by row, so
+    # the error names the first bad line.
+    if min(indices) < 0 or max(indices) >= m or \
+            not all(map(n.__eq__, map(len, map(set, cones)))):
+        for (line, _), row in zip(lines[1 + m:], cones):
+            if min(row) < 0 or max(row) >= m:
+                idx = next(i for i in row if not 0 <= i < m)
+                raise FanSyntaxError(line, f"ray index {idx} out of range "
+                                           f"0..{m - 1}")
+            if len(set(row)) != n:
+                raise FanSyntaxError(line, "repeated ray index in cone")
+    return _canonical_fan(n, rays, cones)
 
 
 def parse_fan(text: str) -> Fan:
@@ -186,10 +217,9 @@ def parse_polytope_unchecked(text: str) -> Fan:
     of the vertices, without running mathematical validation."""
     lines = _significant_lines(text)
     _, (n, m) = _parse_header(lines, "POLY", 2)
-    vertex_rows = _take_rows(lines, 1, m, n, "vertex")
+    vertices = _tuples(_take_rows(lines, 1, m, n, "vertex"), n)
     if len(lines) > 1 + m:
         raise FanSyntaxError(lines[1 + m][0], "trailing content")
-    vertices = [tuple(row) for _, row in vertex_rows]
     if m < n + 1:
         raise OriginNotInterior(
             f"{m} vertices cannot enclose the origin in dimension {n}")

@@ -4,13 +4,16 @@ Everything runs over arbitrary-precision integers and fractions; no floating
 point is used anywhere. Vectors are plain tuples of ints (or Fractions for
 rational results), matrices are sequences of integer rows. cone_facets,
 the facets of the cone spanned by integer vectors, is the package's one
-convex-hull routine.
+convex-hull routine: a double description whose adjacency test is a
+bit-pattern test, an AND of bitsets per candidate pair in place of a scan
+over every other ray.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Sequence
 
 from .errors import NotSquare, SingularBasis
@@ -162,7 +165,12 @@ def cone_facets(vectors: Sequence[Sequence[int]]
       at v;
     - two rays are adjacent when their common tight set has at least
       d - 2 members and no third ray's tight set contains it (Fukuda &
-      Prodon 1996).
+      Prodon 1996). That is a bit-pattern test (Terzer, ETH Zurich
+      thesis, 2009): once per added vector, on[b] is the bitset of the
+      rays tight at vector b, and the pair (i, j) is adjacent when the
+      AND of on[b] over the bits b of the common tight set is exactly
+      {i, j}. The AND starts from the set of all rays, so an empty common
+      set, possible when d = 2, leaves every ray in it.
     """
     if not vectors:
         raise SingularBasis("no vectors to span the space")
@@ -180,18 +188,34 @@ def cone_facets(vectors: Sequence[Sequence[int]]
         bit = 1 << ci
         if basis_mask & bit:
             continue
-        values = [sum(x * y for x, y in zip(v, r)) for r in rays]
+        values = [sum(map(mul, v, r)) for r in rays]
         positive = [k for k, x in enumerate(values) if x > 0]
         negative = [k for k, x in enumerate(values) if x < 0]
         new_rays = [r for r, x in zip(rays, values) if x >= 0]
         new_tight = [t | bit if x == 0 else t
                      for t, x in zip(tight, values) if x >= 0]
+        # on[b]: the bitset of the current rays tight at the vector of
+        # one-bit mask b.
+        on: dict[int, int] = {}
+        if positive and negative:
+            for k, t in enumerate(tight):
+                ray_bit = 1 << k
+                while t:
+                    b = t & -t
+                    on[b] = on.get(b, 0) | ray_bit
+                    t ^= b
+        every_ray = (1 << len(rays)) - 1
         for i in positive:
             for j in negative:
                 common = tight[i] & tight[j]
-                if common.bit_count() < d - 2 or any(
-                        t & common == common for k, t in enumerate(tight)
-                        if k != i and k != j):
+                if common.bit_count() < d - 2:
+                    continue
+                meet, rest = every_ray, common
+                while rest:
+                    b = rest & -rest
+                    meet &= on[b]
+                    rest ^= b
+                if meet != 1 << i | 1 << j:
                     continue
                 new_rays.append(make_primitive(
                     [values[i] * y - values[j] * x

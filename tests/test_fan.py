@@ -98,6 +98,17 @@ def test_make_fan_rejects_entries_that_are_not_integers():
             make_fan(dim, rays, cones)
 
 
+@pytest.mark.parametrize("dim, rays, cones, message", [
+    (1, [1, -1], [(0,), (1,)], "ray 1"),
+    (2, [(1, 0), (0, 1), (-1, -1)], [0, 1], "maximal cone 0"),
+], ids=["ray", "cone"])
+def test_make_fan_rejects_rows_that_are_not_sequences(dim, rays, cones,
+                                                      message):
+    with pytest.raises(ValueError,
+                       match=f"^{message} is not a sequence of integers$"):
+        make_fan(dim, rays, cones)
+
+
 # The weighted projective space P(1, 1, 1, 2): smooth but for one cone of
 # determinant 2, which no walk out of a unimodular cone enters.
 WEIGHTED = make_fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -2)],

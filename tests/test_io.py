@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 
 import pytest
@@ -158,6 +159,22 @@ def test_the_first_index_out_of_range_is_named():
         with pytest.raises(ValueError, match=f"^{message}"):
             make_fan(2, rays, cones)
 
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(token=st.text("0123456789+-_\u0665x", min_size=1, max_size=6))
+def test_a_block_takes_a_token_exactly_when_it_is_an_ascii_integer(token):
+    # The block reader checks a block's tokens at once; a token in its
+    # middle row is taken exactly when it matches the grammar.
+    text = f"FAN 2 3 3\n1 0\n0 {token}\n-1 -1\n0 1\n1 2\n0 2\n"
+    if re.fullmatch(r"[+-]?[0-9]+", token):
+        assert (0, int(token)) in parse_fan_unchecked(text).rays
+    else:
+        with pytest.raises(FanSyntaxError) as err:
+            parse_fan_unchecked(text)
+        assert err.value.line == 3
+        assert err.value.reason == \
+            f"expected an integer, got {token!r} (ray)"
 
 # Characters that str.splitlines() treats as line ends but a file read
 # with universal newlines does not: VT, FF, FS, GS, RS, NEL, U+2028, U+2029.
@@ -352,6 +369,51 @@ def test_cross_polytope_in_dimension_ten():
     assert parse_polytope_unchecked(_poly_text(vertices)) == \
         _product([P1] * 10)
 
+
+
+# (P^1)^10: 20 ray lines from line 2, then 1024 cone lines from line 22.
+_TEN_LINES = serialize_fan(_product([P1] * 10)).split("\n")
+_DEEP_ROW = _TEN_LINES[999].split()
+
+
+def _deep_row(position: int, token: str | None) -> list[str]:
+    """Cone line 1000 of (P^1)^10 with the token at position in place of
+    the index there, or without that index when token is None."""
+    row = list(_DEEP_ROW)
+    if token is None:
+        del row[position]
+    else:
+        row[position] = token
+    return row
+
+
+@pytest.mark.parametrize("row, reason", [
+    (_deep_row(4, "x"), "expected an integer, got 'x' (cone)"),
+    (_deep_row(4, "1_0"), "expected an integer, got '1_0' (cone)"),
+    (_deep_row(4, "\u0665"), "expected an integer, got '\u0665' (cone)"),
+    (_deep_row(4, "+-1"), "expected an integer, got '+-1' (cone)"),
+    (_deep_row(4, "1-"), "expected an integer, got '1-' (cone)"),
+    (_deep_row(4, "+"), "expected an integer, got '+' (cone)"),
+    (_deep_row(4, "9" * 5000),
+     "integer has 5000 digits, above the limit of 4300 (cone)"),
+    (_deep_row(4, "20"), "ray index 20 out of range 0..19"),
+    (_deep_row(4, "-1"), "ray index -1 out of range 0..19"),
+    (_deep_row(4, _DEEP_ROW[3]), "repeated ray index in cone"),
+    (_deep_row(4, None), "cone line needs 10 integers, got 9"),
+], ids=["x", "underscore", "arabic-indic", "signs", "trailing-sign",
+        "lone-sign", "5000-digits", "index-m", "index-minus-1", "repeat",
+        "short-row"])
+def test_a_deep_cone_line_is_named_as_a_row_read_names_it(row, reason):
+    lines = list(_TEN_LINES)
+    lines[999] = " ".join(row)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(FanSyntaxError) as err:
+            parse_fan_unchecked("\n".join(lines))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (err.value.line, err.value.reason) == (1000, reason)
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())

@@ -237,3 +237,11 @@ def test_cone_facets_of_small_cones():
     assert cone_facets([(1, 0), (0, 1), (-1, -1)]) == []
     with pytest.raises(SingularBasis):
         cone_facets([])
+
+
+def test_cone_facets_join_a_pair_with_no_common_tight_vector():
+    # In Q^2 the two rays of the starting dual cone, (1, 0) and (0, 1),
+    # share no tight vector. (-1, 1) separates them, and they are adjacent
+    # because no third ray exists, so they join into the normal (1, 1).
+    assert cone_facets([(1, 0), (0, 1), (-1, 1)]) == \
+        [((0, 1), 0b001), ((1, 1), 0b100)]
