@@ -160,7 +160,6 @@ def test_the_first_index_out_of_range_is_named():
             make_fan(2, rays, cones)
 
 
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(token=st.text("0123456789+-_\u0665x", min_size=1, max_size=6))
 def test_a_block_takes_a_token_exactly_when_it_is_an_ascii_integer(token):
@@ -175,6 +174,7 @@ def test_a_block_takes_a_token_exactly_when_it_is_an_ascii_integer(token):
         assert err.value.line == 3
         assert err.value.reason == \
             f"expected an integer, got {token!r} (ray)"
+
 
 # Characters that str.splitlines() treats as line ends but a file read
 # with universal newlines does not: VT, FF, FS, GS, RS, NEL, U+2028, U+2029.
@@ -370,36 +370,35 @@ def test_cross_polytope_in_dimension_ten():
         _product([P1] * 10)
 
 
-
 # (P^1)^10: 20 ray lines from line 2, then 1024 cone lines from line 22.
 _TEN_LINES = serialize_fan(_product([P1] * 10)).split("\n")
 _DEEP_ROW = _TEN_LINES[999].split()
 
 
-def _deep_row(position: int, token: str | None) -> list[str]:
-    """Cone line 1000 of (P^1)^10 with the token at position in place of
-    the index there, or without that index when token is None."""
+def _deep_row(token: str | None) -> list[str]:
+    """Cone line 1000 of (P^1)^10 with the token in place of its fifth
+    index, or without that index when token is None."""
     row = list(_DEEP_ROW)
     if token is None:
-        del row[position]
+        del row[4]
     else:
-        row[position] = token
+        row[4] = token
     return row
 
 
 @pytest.mark.parametrize("row, reason", [
-    (_deep_row(4, "x"), "expected an integer, got 'x' (cone)"),
-    (_deep_row(4, "1_0"), "expected an integer, got '1_0' (cone)"),
-    (_deep_row(4, "\u0665"), "expected an integer, got '\u0665' (cone)"),
-    (_deep_row(4, "+-1"), "expected an integer, got '+-1' (cone)"),
-    (_deep_row(4, "1-"), "expected an integer, got '1-' (cone)"),
-    (_deep_row(4, "+"), "expected an integer, got '+' (cone)"),
-    (_deep_row(4, "9" * 5000),
+    (_deep_row("x"), "expected an integer, got 'x' (cone)"),
+    (_deep_row("1_0"), "expected an integer, got '1_0' (cone)"),
+    (_deep_row("\u0665"), "expected an integer, got '\u0665' (cone)"),
+    (_deep_row("+-1"), "expected an integer, got '+-1' (cone)"),
+    (_deep_row("1-"), "expected an integer, got '1-' (cone)"),
+    (_deep_row("+"), "expected an integer, got '+' (cone)"),
+    (_deep_row("9" * 5000),
      "integer has 5000 digits, above the limit of 4300 (cone)"),
-    (_deep_row(4, "20"), "ray index 20 out of range 0..19"),
-    (_deep_row(4, "-1"), "ray index -1 out of range 0..19"),
-    (_deep_row(4, _DEEP_ROW[3]), "repeated ray index in cone"),
-    (_deep_row(4, None), "cone line needs 10 integers, got 9"),
+    (_deep_row("20"), "ray index 20 out of range 0..19"),
+    (_deep_row("-1"), "ray index -1 out of range 0..19"),
+    (_deep_row(_DEEP_ROW[3]), "repeated ray index in cone"),
+    (_deep_row(None), "cone line needs 10 integers, got 9"),
 ], ids=["x", "underscore", "arabic-indic", "signs", "trailing-sign",
         "lone-sign", "5000-digits", "index-m", "index-minus-1", "repeat",
         "short-row"])
@@ -414,6 +413,7 @@ def test_a_deep_cone_line_is_named_as_a_row_read_names_it(row, reason):
     finally:
         sys.set_int_max_str_digits(limit)
     assert (err.value.line, err.value.reason) == (1000, reason)
+
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
