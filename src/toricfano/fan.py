@@ -13,6 +13,10 @@ extremal classes of the Mori cone) is computed at most once per Fan object
 through Fan.cached, the inverses as a tuple indexed by cone: a walk across
 the unit crossings between unimodular cones fills it, sharing the columns
 a crossing leaves unchanged, and every other cone gets its own adjugate.
+The walk keeps each wall relation it finds, keyed by the wall's opposite
+rays, and reads a later crossing of the same pair off it when the
+relation's rays all lie in the cone it leaves: that cone is unimodular,
+so the relation is the one expression of the new ray in its basis.
 No other module reads the inverses directly; validation and the face counts
 share one sign pass over them, the h-vector counts (_h_counts), which reads
 each shared column once.
@@ -223,6 +227,13 @@ def _check_facet_pairing(fan: Fan) -> CheckResult:
 ConeInverse = tuple[int, tuple[tuple[int, ...], ...] | None]
 
 
+def _coordinates(target: Sequence[int],
+                 cols: Sequence[Sequence[int]]) -> list[int]:
+    """target * N for a cone's columns cols: |det| times target's
+    coordinates in the cone's basis."""
+    return [sum(map(mul, target, col)) for col in cols]
+
+
 def _cone_adjugates(fan: Fan) -> tuple[ConeInverse, ...]:
     """(det, cols) for each maximal cone, in max_cones order. A is the
     matrix whose rows are the cone's rays, and cols holds the n columns of
@@ -242,12 +253,24 @@ def _cone_adjugates(fan: Fan) -> tuple[ConeInverse, ...]:
     A column with w_j = 0 is column j itself: d shares that tuple with c,
     as it shares col_k when w_k = 1, and the crossing builds only the
     columns of the rays in v's relation u + v = sum c_i x_i.
+
+    c is unimodular, so w is the one expression v = sum w_j * ray_j of v
+    in c's basis. The walk keeps it for the rest of the walk, keyed by
+    (u, v), as the bit mask of the rays with w_j != 0 and their
+    (ray, coefficient) pairs, one entry per key. A later crossing of the
+    same pair, from a cone whose mask holds that support mask, reads w
+    off the entry: each coefficient at its ray's position, 0 elsewhere.
+    That cone is unimodular too, so the entry is its one expression of v,
+    and the table stays exactly what one adjugate per cone gives. Any
+    other crossing computes w = v * N in full and overwrites the entry.
     """
     rays = fan.rays
     cones = fan.max_cones
     masks = fan.cached(_max_cone_masks)
     walls = fan.cached(_walls)
     found: list[ConeInverse | None] = [None] * len(cones)
+    relations: dict[tuple[int, int],
+                    tuple[int, tuple[tuple[int, int], ...]]] = {}
     for start, seed in enumerate(cones):
         if found[start] is not None:
             continue
@@ -259,15 +282,27 @@ def _cone_adjugates(fan: Fan) -> tuple[ConeInverse, ...]:
         for c in queue:
             det, cols = found[c]
             mask = masks[c]
-            for k, u in enumerate(cones[c]):
+            cone = cones[c]
+            for k, u in enumerate(cone):
                 sides = walls[mask ^ (1 << u)]
                 for i in range(0, len(sides), 2):
                     d = sides[i]
                     if found[d] is not None:
                         continue
                     q = sides[i + 1]
-                    v = rays[cones[d][q]]
-                    w = [sum(map(mul, v, col)) for col in cols]
+                    v = cones[d][q]
+                    # A key not yet seen gets support -1, all bits set,
+                    # which no cone's mask holds.
+                    support, terms = relations.get((u, v), (-1, ()))
+                    if support & mask == support:
+                        w = [0] * len(cols)
+                        for r, x in terms:
+                            w[(mask & ((1 << r) - 1)).bit_count()] = x
+                    else:
+                        w = _coordinates(rays[v], cols)
+                        terms = tuple([(r, x) for r, x in zip(cone, w) if x])
+                        relations[u, v] = (_mask_of([r for r, _ in terms]),
+                                           terms)
                     wk = w[k]
                     if wk != 1 and wk != -1:
                         continue
@@ -304,7 +339,7 @@ def _cone_coordinates(fan: Fan, index: int,
     det, cols = fan.cached(_cone_adjugates)[index]
     if cols is None:
         raise SingularBasis("basis vectors are linearly dependent")
-    return tuple([sum(map(mul, col, target)) for col in cols]), abs(det)
+    return tuple(_coordinates(target, cols)), abs(det)
 
 
 def _h_counts(fan: Fan) -> tuple[int, ...]:
@@ -422,8 +457,13 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def _rays_of(mask: int) -> ConeRef:
-    """The sorted ray indices of a bit mask."""
-    return tuple(bit.bit_length() - 1 for bit in _bits(mask))
+    """The sorted ray indices of a bit mask, one step per set bit."""
+    rays = []
+    while mask:
+        low = mask & -mask
+        rays.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(rays)
 
 
 def _max_cone_masks(fan: Fan) -> tuple[int, ...]:

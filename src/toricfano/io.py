@@ -43,7 +43,7 @@ from .errors import (
     OriginNotInterior,
     SingularBasis,
 )
-from .fan import Fan, _canonical_fan, make_fan, require_valid
+from .fan import Fan, _canonical_fan, _rays_of, make_fan, require_valid
 
 
 _LINE_BREAK = re.compile(r"\r\n?|\n")
@@ -199,7 +199,7 @@ def _polytope_facets(vertices: Sequence[tuple[int, ...]],
             "the vertices lie in a proper affine subspace") from None
     out = []
     for normal, mask in facets:
-        on_plane = tuple(i for i in range(len(vertices)) if mask >> i & 1)
+        on_plane = _rays_of(mask)
         if len(on_plane) > n:
             raise NonSimplicialFacet(
                 f"facet through vertices {on_plane} has {len(on_plane)} "

@@ -30,7 +30,7 @@ from toricfano.fan import (
 )
 from toricfano.fvector import f_vector
 from toricfano.invariants import picard_number, wall_curves
-from toricfano.io import parse_polytope_unchecked
+from toricfano.io import parse_fan_unchecked, parse_polytope_unchecked
 from toricfano.oracle import corpus_directory
 
 
@@ -370,6 +370,87 @@ def test_adjugate_walk_on_arbitrary_rays(drawn_fan, data):
                               min_size=len(fan.rays),
                               max_size=len(fan.rays)))
     _assert_walk_matches_bareiss(make_fan(fan.dim, rays, fan.max_cones))
+
+
+# Corpus fans with an ordered opposite-ray pair (u, v) that carries two
+# wall relations: at two walls, v is a different combination of the rays
+# of the cone on u's side. Name -> the number of such ordered pairs.
+TWO_RELATION_PAIRS = {"blowup_projective_3_codim_3": 6,
+                      "blowup_projective_4_codim_4": 12,
+                      "hirzebruch_2_non_fano": 2}
+
+
+def _unchecked_corpus_fan(name):
+    """A fresh Fan of the corpus file name.fan, not validated, so a faulty
+    cone table shows as a failed assertion rather than a parse error."""
+    path = corpus_directory() / f"{name}.fan"
+    return parse_fan_unchecked(path.read_text(encoding="utf-8"))
+
+
+def _pairs_with_two_relations(fan):
+    """The ordered pairs (u, v) of rays opposite at some wall of a smooth
+    fan at which v has two different expressions in the rays of the cone
+    on u's side, read off one lattice.adjugate per cone."""
+    table = _bareiss_inverses(fan)
+    relations = {}
+    for sides in fan.cached(fan_module._walls).values():
+        for (c, p), (d, q) in ((sides[:2], sides[2:]), (sides[2:], sides[:2])):
+            cone = fan.max_cones[c]
+            v = fan.max_cones[d][q]
+            w = [sum(x * y for x, y in zip(fan.rays[v], col))
+                 for col in table[c][1]]
+            relations.setdefault((cone[p], v), set()).add(
+                frozenset((r, x) for r, x in zip(cone, w) if x))
+    return sorted(pair for pair, found in relations.items() if len(found) > 1)
+
+
+@pytest.mark.parametrize("name", sorted(TWO_RELATION_PAIRS))
+def test_adjugate_walk_on_ray_pairs_with_two_relations(name):
+    # The walk reads a crossing off a relation found at an earlier one only
+    # when that relation's rays all lie in the cone it crosses from.
+    fan = _unchecked_corpus_fan(name)
+    assert len(_pairs_with_two_relations(fan)) == TWO_RELATION_PAIRS[name]
+    _assert_walk_matches_bareiss(fan)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_adjugate_walk_on_images_of_ray_pairs_with_two_relations(
+        transformed, data):
+    name = data.draw(st.sampled_from(sorted(TWO_RELATION_PAIRS)))
+    moved = transformed(_unchecked_corpus_fan(name), data)
+    assert len(_pairs_with_two_relations(moved)) == TWO_RELATION_PAIRS[name]
+    _assert_walk_matches_bareiss(moved)
+
+
+def test_adjugate_walk_finds_each_wall_relation_once_per_ray_pair(
+        monkeypatch):
+    # (P^1)^6: one seed, 63 crossings, and 12 ordered pairs of opposite
+    # rays, each with the one relation u + v = 0. Only a crossing whose
+    # relation the walk has not found yet computes v * N in full.
+    products = []
+    seeds = []
+    coordinates = fan_module._coordinates
+    adjugate = lattice.adjugate
+
+    def counting_products(target, cols):
+        products.append(target)
+        return coordinates(target, cols)
+
+    def counting_seeds(rows):
+        seeds.append(rows)
+        return adjugate(rows)
+
+    line = construct_projective_space(1)
+    fan = line
+    for _ in range(5):
+        fan = construct_product(fan, line)
+    expected = _bareiss_inverses(fan)
+    monkeypatch.setattr(fan_module, "_coordinates", counting_products)
+    monkeypatch.setattr(lattice, "adjugate", counting_seeds)
+    assert fan.cached(fan_module._cone_adjugates) == expected
+    assert len(fan.max_cones) == 64 and len(seeds) == 1
+    assert 0 < len(products) <= 12
 
 
 def test_adjugate_walk_seeds_once_per_component(monkeypatch):
