@@ -13,10 +13,11 @@ extremal classes of the Mori cone) is computed at most once per Fan object
 through Fan.cached, the inverses as a tuple indexed by cone: a walk across
 the unit crossings between unimodular cones fills it, sharing the columns
 a crossing leaves unchanged, and every other cone gets its own adjugate.
-The walk keeps each wall relation it finds, keyed by the wall's opposite
-rays, and reads a later crossing of the same pair off it when the
-relation's rays all lie in the cone it leaves: that cone is unimodular,
-so the relation is the one expression of the new ray in its basis.
+The walk keeps each wall relation it finds, keyed by the ray the crossing
+brings in, and reads a later crossing that brings in the same ray off it
+when the relation's rays all lie in the cone it leaves: that cone is
+unimodular, so the relation is the one expression of the new ray in its
+basis, whichever ray the crossing drops.
 No other module reads the inverses directly; validation and the face counts
 share one sign pass over them, the h-vector counts (_h_counts), which reads
 each shared column once.
@@ -255,22 +256,23 @@ def _cone_adjugates(fan: Fan) -> tuple[ConeInverse, ...]:
     columns of the rays in v's relation u + v = sum c_i x_i.
 
     c is unimodular, so w is the one expression v = sum w_j * ray_j of v
-    in c's basis. The walk keeps it for the rest of the walk, keyed by
-    (u, v), as the bit mask of the rays with w_j != 0 and their
-    (ray, coefficient) pairs, one entry per key. A later crossing of the
-    same pair, from a cone whose mask holds that support mask, reads w
-    off the entry: each coefficient at its ray's position, 0 elsewhere.
-    That cone is unimodular too, so the entry is its one expression of v,
-    and the table stays exactly what one adjugate per cone gives. Any
-    other crossing computes w = v * N in full and overwrites the entry.
+    in c's basis. The walk keeps it for the rest of the walk, keyed by v
+    alone, as the bit mask of the rays with w_j != 0 and a dict from each
+    of those rays to its coefficient, one entry per ray v. A later
+    crossing that brings in v, from a cone whose mask holds that support
+    mask, reads w off the entry: each ray's coefficient, 0 for a ray
+    outside it. That cone is unimodular too, so an identity among v and
+    rays of that cone is its one expression of v, whatever ray u the
+    crossing drops, and the table stays exactly what one adjugate per
+    cone gives. Any other crossing computes w = v * N in full and
+    overwrites the entry.
     """
     rays = fan.rays
     cones = fan.max_cones
     masks = fan.cached(_max_cone_masks)
     walls = fan.cached(_walls)
     found: list[ConeInverse | None] = [None] * len(cones)
-    relations: dict[tuple[int, int],
-                    tuple[int, tuple[tuple[int, int], ...]]] = {}
+    relations: dict[int, tuple[int, dict[int, int]]] = {}
     for start, seed in enumerate(cones):
         if found[start] is not None:
             continue
@@ -291,18 +293,15 @@ def _cone_adjugates(fan: Fan) -> tuple[ConeInverse, ...]:
                         continue
                     q = sides[i + 1]
                     v = cones[d][q]
-                    # A key not yet seen gets support -1, all bits set,
+                    # A ray not yet seen gets support -1, all bits set,
                     # which no cone's mask holds.
-                    support, terms = relations.get((u, v), (-1, ()))
+                    support, terms = relations.get(v, (-1, None))
                     if support & mask == support:
-                        w = [0] * len(cols)
-                        for r, x in terms:
-                            w[(mask & ((1 << r) - 1)).bit_count()] = x
+                        w = [terms.get(r, 0) for r in cone]
                     else:
                         w = _coordinates(rays[v], cols)
-                        terms = tuple([(r, x) for r, x in zip(cone, w) if x])
-                        relations[u, v] = (_mask_of([r for r, _ in terms]),
-                                           terms)
+                        terms = {r: x for r, x in zip(cone, w) if x}
+                        relations[v] = (_mask_of(terms), terms)
                     wk = w[k]
                     if wk != 1 and wk != -1:
                         continue

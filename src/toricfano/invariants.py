@@ -125,8 +125,10 @@ def picard_number(fan: Fan) -> int:
 
 
 def is_fano(fan: Fan) -> bool:
-    """True iff every primitive relation has strictly positive degree."""
-    return all(r.degree >= 1 for r in all_relations(fan))
+    """True iff the fan has a primitive relation and every one has strictly
+    positive degree. A fan without one is a single cone, never complete."""
+    relations = all_relations(fan)
+    return bool(relations) and all(r.degree >= 1 for r in relations)
 
 
 def pseudo_index(fan: Fan) -> int:

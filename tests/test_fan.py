@@ -373,11 +373,13 @@ def test_adjugate_walk_on_arbitrary_rays(drawn_fan, data):
 
 
 # Corpus fans with an ordered opposite-ray pair (u, v) that carries two
-# wall relations: at two walls, v is a different combination of the rays
-# of the cone on u's side. Name -> the number of such ordered pairs.
-TWO_RELATION_PAIRS = {"blowup_projective_3_codim_3": 6,
-                      "blowup_projective_4_codim_4": 12,
-                      "hirzebruch_2_non_fano": 2}
+# wall relations, so that v has more than one expression across the walls:
+# at two walls, v is a different combination of the rays of the cone on
+# the other side. The walk keys its relations by v, so the tests count
+# those rays. Name -> (the number of such rays, of all rays).
+SEVERAL_EXPRESSION_RAYS = {"blowup_projective_3_codim_3": (3, 5),
+                           "blowup_projective_4_codim_4": (4, 6),
+                           "hirzebruch_2_non_fano": (2, 4)}
 
 
 def _unchecked_corpus_fan(name):
@@ -387,29 +389,35 @@ def _unchecked_corpus_fan(name):
     return parse_fan_unchecked(path.read_text(encoding="utf-8"))
 
 
-def _pairs_with_two_relations(fan):
-    """The ordered pairs (u, v) of rays opposite at some wall of a smooth
-    fan at which v has two different expressions in the rays of the cone
-    on u's side, read off one lattice.adjugate per cone."""
+def _rays_with_several_expressions(fan):
+    """The rays v of a smooth fan that some wall has on one side with two
+    different expressions in the rays of the cones on the other sides,
+    read off one lattice.adjugate per cone."""
     table = _bareiss_inverses(fan)
-    relations = {}
+    expressions = {}
     for sides in fan.cached(fan_module._walls).values():
-        for (c, p), (d, q) in ((sides[:2], sides[2:]), (sides[2:], sides[:2])):
+        for c, (d, q) in ((sides[0], sides[2:]), (sides[2], sides[:2])):
             cone = fan.max_cones[c]
             v = fan.max_cones[d][q]
             w = [sum(x * y for x, y in zip(fan.rays[v], col))
                  for col in table[c][1]]
-            relations.setdefault((cone[p], v), set()).add(
+            expressions.setdefault(v, set()).add(
                 frozenset((r, x) for r, x in zip(cone, w) if x))
-    return sorted(pair for pair, found in relations.items() if len(found) > 1)
+    return sorted(v for v, found in expressions.items() if len(found) > 1)
 
 
-@pytest.mark.parametrize("name", sorted(TWO_RELATION_PAIRS))
+def _assert_several_expressions(fan, name):
+    several, total = SEVERAL_EXPRESSION_RAYS[name]
+    assert len(fan.rays) == total
+    assert len(_rays_with_several_expressions(fan)) == several
+
+
+@pytest.mark.parametrize("name", sorted(SEVERAL_EXPRESSION_RAYS))
 def test_adjugate_walk_on_ray_pairs_with_two_relations(name):
     # The walk reads a crossing off a relation found at an earlier one only
     # when that relation's rays all lie in the cone it crosses from.
     fan = _unchecked_corpus_fan(name)
-    assert len(_pairs_with_two_relations(fan)) == TWO_RELATION_PAIRS[name]
+    _assert_several_expressions(fan, name)
     _assert_walk_matches_bareiss(fan)
 
 
@@ -417,40 +425,57 @@ def test_adjugate_walk_on_ray_pairs_with_two_relations(name):
 @given(data=st.data())
 def test_adjugate_walk_on_images_of_ray_pairs_with_two_relations(
         transformed, data):
-    name = data.draw(st.sampled_from(sorted(TWO_RELATION_PAIRS)))
+    name = data.draw(st.sampled_from(sorted(SEVERAL_EXPRESSION_RAYS)))
     moved = transformed(_unchecked_corpus_fan(name), data)
-    assert len(_pairs_with_two_relations(moved)) == TWO_RELATION_PAIRS[name]
+    _assert_several_expressions(moved, name)
     _assert_walk_matches_bareiss(moved)
 
 
-def test_adjugate_walk_finds_each_wall_relation_once_per_ray_pair(
-        monkeypatch):
-    # (P^1)^6: one seed, 63 crossings, and 12 ordered pairs of opposite
-    # rays, each with the one relation u + v = 0. Only a crossing whose
-    # relation the walk has not found yet computes v * N in full.
-    products = []
+def _walk_counts(monkeypatch, fan):
+    """(seeds, full products v * N) of the walk on fan, after checking
+    that its table is one lattice.adjugate per cone."""
     seeds = []
-    coordinates = fan_module._coordinates
+    products = []
     adjugate = lattice.adjugate
-
-    def counting_products(target, cols):
-        products.append(target)
-        return coordinates(target, cols)
+    coordinates = fan_module._coordinates
 
     def counting_seeds(rows):
         seeds.append(rows)
         return adjugate(rows)
 
-    line = construct_projective_space(1)
-    fan = line
-    for _ in range(5):
-        fan = construct_product(fan, line)
+    def counting_products(target, cols):
+        products.append(target)
+        return coordinates(target, cols)
+
     expected = _bareiss_inverses(fan)
-    monkeypatch.setattr(fan_module, "_coordinates", counting_products)
-    monkeypatch.setattr(lattice, "adjugate", counting_seeds)
-    assert fan.cached(fan_module._cone_adjugates) == expected
-    assert len(fan.max_cones) == 64 and len(seeds) == 1
-    assert 0 < len(products) <= 12
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice, "adjugate", counting_seeds)
+        patch.setattr(fan_module, "_coordinates", counting_products)
+        assert fan.cached(fan_module._cone_adjugates) == expected
+    return len(seeds), len(products)
+
+
+def _power(fan, k):
+    product = fan
+    for _ in range(k - 1):
+        product = construct_product(product, fan)
+    return product
+
+
+def test_adjugate_walk_finds_each_wall_relation_once_per_ray(monkeypatch):
+    # Only a crossing whose new ray v has no relation yet in the rays of
+    # the cone it leaves computes v * N in full. On P^14 every crossing
+    # leaves the seed cone and brings in the same ray, so one product
+    # serves all 14. Each of the 63 crossings of (P^1)^6 brings in the
+    # negative -x of a seed ray x, so it needs one product for each of
+    # those 6 rays, with the relation x + (-x) = 0.
+    lines = _power(construct_projective_space(1), 6)
+    assert len(lines.max_cones) == 64
+    assert _walk_counts(monkeypatch, lines) == (1, 6)
+    for fan, products in ((construct_projective_space(14), 1),
+                          (_power(construct_projective_space(2), 5), 5),
+                          (_power(construct_projective_space(3), 3), 3)):
+        assert _walk_counts(monkeypatch, fan) == (1, products)
 
 
 def test_adjugate_walk_seeds_once_per_component(monkeypatch):

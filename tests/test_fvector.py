@@ -14,6 +14,7 @@ from toricfano.errors import (
     DimensionOutOfRange,
     FormulaDiscrepancy,
     InternalInconsistency,
+    NonIntegralResult,
     NotFano,
     RegimeUnsupported,
     SingularBasis,
@@ -157,6 +158,14 @@ def test_closed_fk_at_simplex_inputs():
     for n in range(4, 14):
         k = n // 2
         assert dehn_sommerville_fk(n + 1, n) == comb(n + 1, k + 1)
+
+
+def test_a_non_integral_closed_fk_raises(monkeypatch):
+    monkeypatch.setattr(fvector, "_fk_closed",
+                        lambda f0, n: Fraction(1, 2))
+    with pytest.raises(NonIntegralResult,
+                       match=r"^f_3 evaluated to 1/2$"):
+        dehn_sommerville_fk(7, 6)
 
 
 def test_closed_tail_at_simplex_inputs():

@@ -24,6 +24,7 @@ from toricfano.invariants import (
     fibration_in_P_iota,
     is_extremal,
     is_fano,
+    lemma_degree_sum_check,
     mori_cone_extremal_classes,
     mukai_check,
     picard_number,
@@ -84,6 +85,18 @@ def test_pseudo_index_requires_fano():
         assert not is_fano(fan)
         with pytest.raises(NotFano):
             pseudo_index(fan)
+
+
+def test_a_fan_without_primitive_collections_is_not_fano():
+    # A single cone: every set of rays spans a face, so there is no
+    # primitive relation to take the least degree of.
+    cone = make_fan(2, [(1, 0), (0, 1)], [(0, 1)])
+    assert all_relations(cone) == []
+    assert not is_fano(cone)
+    for check in (pseudo_index, mukai_check, fibration_in_P_iota,
+                  small_codim_contractible, lemma_degree_sum_check):
+        with pytest.raises(NotFano):
+            check(cone)
 
 
 def _least_wall_degree(fan):

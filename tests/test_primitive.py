@@ -13,7 +13,11 @@ from hypothesis import strategies as st
 from toricfano import fan as fan_module
 from toricfano import fvector, primitive
 from toricfano.cli import _invariants_payload
-from toricfano.errors import NonIntegralCoefficient, SingularBasis
+from toricfano.errors import (
+    NonIntegralCoefficient,
+    NotInSupport,
+    SingularBasis,
+)
 from toricfano.fan import (
     construct_product,
     construct_projective_space,
@@ -90,6 +94,17 @@ def test_non_smooth_fan_yields_non_integral_coefficients():
     with pytest.raises(NonIntegralCoefficient):
         for col in cols:
             primitive_relation(fan, col)
+
+
+def test_a_sum_outside_the_support_raises_not_in_support():
+    # P^2 without its cone (0, 2): the sum (0, -1) of rays (-1, -1) and
+    # (1, 0) lies only in the cone that was dropped.
+    p2 = construct_projective_space(2)
+    fan = make_fan(2, p2.rays, [(0, 1), (1, 2)])
+    assert (0, 2) in primitive_collections(fan)
+    with pytest.raises(NotInSupport,
+                       match=r"^sum of \(0, 2\) lies in no maximal cone$"):
+        primitive_relation(fan, (0, 2))
 
 
 def test_dependent_cone_before_the_sum_raises_singular_basis():
