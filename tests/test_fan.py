@@ -479,40 +479,22 @@ def test_adjugate_walk_finds_each_wall_relation_once_per_ray(monkeypatch):
 
 
 def test_adjugate_walk_seeds_once_per_component(monkeypatch):
-    seeds = []
-    adjugate = lattice.adjugate
-
-    def counting(rows):
-        seeds.append(rows)
-        return adjugate(rows)
-
-    line = construct_projective_space(1)
-    fan = line
-    for _ in range(3):
-        fan = construct_product(fan, line)
+    lines = _power(construct_projective_space(1), 4)
+    assert _walk_counts(monkeypatch, lines)[0] == 1
     # Rays (-1, 0), (0, -1), (0, 1), (1, 0): the seed cone (0, 3) is
     # singular, so the walk starts again from (1, 3) and reaches (2, 3).
     singular_seed = make_fan(2, [(-1, 0), (0, -1), (0, 1), (1, 0)],
                              [(0, 3), (1, 3), (2, 3)])
-    # A new Fan, whose table no other test has cached.
-    weighted = make_fan(3, WEIGHTED.rays, WEIGHTED.max_cones)
-    expected = {f: _bareiss_inverses(f)
-                for f in (fan, singular_seed, weighted)}
-    monkeypatch.setattr(lattice, "adjugate", counting)
-    assert fan.cached(fan_module._cone_adjugates) == expected[fan]
-    assert len(seeds) == 1
-    seeds.clear()
+    assert _walk_counts(monkeypatch, singular_seed)[0] == 2
     table = singular_seed.cached(fan_module._cone_adjugates)
-    assert table == expected[singular_seed]
     assert table[singular_seed.max_cones.index((0, 3))] == (0, None)
-    assert len(seeds) == 2
     # The walk from the unimodular seed (0, 1, 2) does not cross into the
-    # cone (0, 2, 3) of determinant 2, which gets its own adjugate.
-    seeds.clear()
+    # cone (0, 2, 3) of determinant 2, which gets its own adjugate. A new
+    # Fan, whose table no other test has cached.
+    weighted = make_fan(3, WEIGHTED.rays, WEIGHTED.max_cones)
+    assert _walk_counts(monkeypatch, weighted)[0] == 2
     table = weighted.cached(fan_module._cone_adjugates)
-    assert table == expected[weighted]
     assert table[weighted.max_cones.index((0, 2, 3))][0] == 2
-    assert len(seeds) == 2
 
 
 def test_adjugate_walk_hands_over_the_columns_a_unit_crossing_keeps(
