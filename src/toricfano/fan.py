@@ -13,14 +13,17 @@ extremal classes of the Mori cone) is computed at most once per Fan object
 through Fan.cached, the inverses as a tuple indexed by cone: a walk across
 the unit crossings between unimodular cones fills it, sharing the columns
 a crossing leaves unchanged, and every other cone gets its own adjugate.
-The walk keeps each wall relation it finds, keyed by the ray the crossing
-brings in, and reads a later crossing that brings in the same ray off it
-when the relation's rays all lie in the cone it leaves: that cone is
-unimodular, so the relation is the one expression of the new ray in its
-basis, whichever ray the crossing drops.
-No other module reads the inverses directly; validation and the face counts
-share one sign pass over them, the h-vector counts (_h_counts), which reads
-each shared column once.
+The walk is one pass over the wall table from cone 0, with a breadth-first
+walk for the cones that pass leaves unreached. It keeps each wall relation
+it finds, keyed by the ray the crossing brings in, and reads a later
+crossing that brings in the same ray off it when the relation's rays all
+lie in the cone it leaves: that cone is unimodular, so the relation is the
+one expression of the new ray in its basis, whichever ray the crossing
+drops. A crossing rebuilds only the columns of its relation's rays.
+No other module reads the inverses directly. The walk also counts each
+cone's negative columns, changed at a crossing only by the columns it
+rebuilds or negates; validation and the face counts share the histogram of
+those counts, the h-vector counts (_h_counts).
 """
 
 from __future__ import annotations
@@ -235,25 +238,37 @@ def _coordinates(target: Sequence[int],
     return [sum(map(mul, target, col)) for col in cols]
 
 
-def _cone_adjugates(fan: Fan) -> tuple[ConeInverse, ...]:
-    """(det, cols) for each maximal cone, in max_cones order. A is the
-    matrix whose rows are the cone's rays, and cols holds the n columns of
-    N = |det| * A^-1 = sign(det) * adj A, so on a unimodular cone N is the
-    exact integer inverse; cols is None when det is 0.
+def _walk(fan: Fan) -> tuple[tuple[ConeInverse, ...], list[int]]:
+    """(table, negative): the table _cone_adjugates returns, and for each
+    maximal cone, in max_cones order, the number of columns of its N whose
+    last nonzero entry is negative, which _h_counts reads. A is the matrix
+    whose rows are the cone's rays, and the table holds (det, cols), with
+    cols the n columns of N = |det| * A^-1 = sign(det) * adj A, so on a
+    unimodular cone N is the exact integer inverse; cols is None when det
+    is 0.
 
-    Each cone not yet reached, in max_cones order, gets its own
-    lattice.adjugate; from a unimodular one a breadth-first walk over the
-    dual graph, read off the wall table, crosses each wall of a reached
-    cone c into the cone d on its other side. Let k be the position of the
-    ray u that d drops, v the ray it takes instead, q v's position in d,
-    and w = v * N, so v = w * A and det d = (-1)^(k-q) * det c * w_k
-    (Reid 1983; Oda 1988). The walk enters d only when w_k = +-1, so d is
-    unimodular too, and then:
+    Cone 0 gets its own lattice.adjugate. When it is unimodular, one pass
+    over the wall table, in its insertion order, crosses each wall that
+    has one side reached into the other side. When the pass leaves cones
+    unreached, a breadth-first walk over the dual graph, read off the wall
+    table, crosses on from the reached unimodular cones, and then from
+    each cone still unreached, in max_cones order, which gets its own
+    adjugate. The pass visits each wall once, and the breadth-first walk
+    at most once from each side.
+
+    A crossing goes from a reached cone c into the cone d on the other
+    side of a wall. Let k be the position of the ray u that d drops, v the
+    ray it takes instead, q v's position in d, and w = v * N, so v = w * A
+    and det d = (-1)^(k-q) * det c * w_k (Reid 1983; Oda 1988). It enters
+    d only when w_k = +-1, so d is unimodular too, and then:
     - v's column is w_k * col_k, moved to position q;
     - every other column j is col_j - w_k * w_j * col_k.
     A column with w_j = 0 is column j itself: d shares that tuple with c,
     as it shares col_k when w_k = 1, and the crossing builds only the
-    columns of the rays in v's relation u + v = sum c_i x_i.
+    columns of the rays in v's relation u + v = sum c_i x_i, at positions
+    read off c's mask. d's count of negative columns is c's, changed by
+    the columns the crossing builds or negates; moving a column keeps its
+    sign.
 
     c is unimodular, so w is the one expression v = sum w_j * ray_j of v
     in c's basis. The walk keeps it for the rest of the walk, keyed by v
@@ -272,56 +287,101 @@ def _cone_adjugates(fan: Fan) -> tuple[ConeInverse, ...]:
     masks = fan.cached(_max_cone_masks)
     walls = fan.cached(_walls)
     found: list[ConeInverse | None] = [None] * len(cones)
+    negative = [0] * len(cones)
     relations: dict[int, tuple[int, dict[int, int]]] = {}
-    for start, seed in enumerate(cones):
-        if found[start] is not None:
-            continue
-        det, adj = lattice.adjugate([rays[i] for i in seed])
+    # A column is negative when its last nonzero entry is: its reverse
+    # then sorts below the zero tuple.
+    zero = (0,) * fan.dim
+
+    def seed(d: int) -> bool:
+        """Give cone d its own adjugate; whether it is unimodular."""
+        det, adj = lattice.adjugate([rays[i] for i in cones[d]])
+        if adj is None:
+            found[d] = (det, None)
+            return False
         sign = -1 if det < 0 else 1
-        found[start] = (det, None if adj is None else tuple(
-            [tuple([sign * x for x in col]) for col in zip(*adj)]))
-        queue = [start] if abs(det) == 1 else []
+        cols = tuple([tuple([sign * x for x in col]) for col in zip(*adj)])
+        found[d] = (det, cols)
+        negative[d] = sum([col[::-1] < zero for col in cols])
+        return det == 1 or det == -1
+
+    def cross(c: int, k: int, d: int, q: int) -> bool:
+        """Enter cone d from the reached cone c, across the wall that drops
+        c's ray at position k and brings in d's ray at position q, when the
+        crossing is a unit one; whether it is."""
+        det, cols = found[c]
+        mask = masks[c]
+        v = cones[d][q]
+        # A ray not yet seen gets support -1, all bits set, which no
+        # cone's mask holds.
+        support, terms = relations.get(v, (-1, None))
+        if support & mask != support:
+            w = _coordinates(rays[v], cols)
+            terms = {r: x for r, x in zip(cones[c], w) if x}
+            relations[v] = (_mask_of(terms), terms)
+        u = cones[c][k]
+        wk = terms.get(u, 0)
+        if wk != 1 and wk != -1:
+            return False
+        ck = cols[k]
+        new = list(cols)
+        change = 0
+        for r, x in terms.items():
+            if r != u:
+                j = (mask & ((1 << r) - 1)).bit_count()
+                old = cols[j]
+                b = wk * x
+                # A list, not tuple(generator): such a tuple is made at a
+                # guessed length and shrunk, so once freed it joins another
+                # size's free list, which keeps up to 2000.
+                col = tuple([y - b * z for y, z in zip(old, ck)])
+                new[j] = col
+                change += (col[::-1] < zero) - (old[::-1] < zero)
+        del new[k]
+        if wk == 1:
+            new.insert(q, ck)
+        else:
+            new.insert(q, tuple([-x for x in ck]))
+            change += 1 - 2 * (ck[::-1] < zero)
+        det_d = det * wk
+        found[d] = (-det_d if (k - q) % 2 else det_d, tuple(new))
+        negative[d] = negative[c] + change
+        return True
+
+    def spread(queue: list[int]) -> None:
+        """Breadth-first from the unimodular cones in queue."""
         for c in queue:
-            det, cols = found[c]
             mask = masks[c]
-            cone = cones[c]
-            for k, u in enumerate(cone):
+            for k, u in enumerate(cones[c]):
                 sides = walls[mask ^ (1 << u)]
                 for i in range(0, len(sides), 2):
                     d = sides[i]
-                    if found[d] is not None:
-                        continue
-                    q = sides[i + 1]
-                    v = cones[d][q]
-                    # A ray not yet seen gets support -1, all bits set,
-                    # which no cone's mask holds.
-                    support, terms = relations.get(v, (-1, None))
-                    if support & mask == support:
-                        w = [terms.get(r, 0) for r in cone]
-                    else:
-                        w = _coordinates(rays[v], cols)
-                        terms = {r: x for r, x in zip(cone, w) if x}
-                        relations[v] = (_mask_of(terms), terms)
-                    wk = w[k]
-                    if wk != 1 and wk != -1:
-                        continue
-                    ck = cols[k]
-                    new = list(cols)
-                    for j, wj in enumerate(w):
-                        if wj and j != k:
-                            b = wk * wj
-                            # A list, not tuple(generator): such a tuple is
-                            # made at a guessed length and shrunk, so once
-                            # freed it joins another size's free list, which
-                            # keeps up to 2000.
-                            new[j] = tuple([x - b * y
-                                            for x, y in zip(new[j], ck)])
-                    del new[k]
-                    new.insert(q, ck if wk == 1 else tuple([-x for x in ck]))
-                    det_d = det * wk
-                    found[d] = (-det_d if (k - q) % 2 else det_d, tuple(new))
-                    queue.append(d)
-    return tuple(found)
+                    if found[d] is None and cross(c, k, d, sides[i + 1]):
+                        queue.append(d)
+
+    if seed(0):
+        for sides in walls.values():
+            if len(sides) == 4:
+                a, p, b, q = sides
+                if found[a] is None:
+                    if found[b] is not None:
+                        cross(b, q, a, p)
+                elif found[b] is None:
+                    cross(a, p, b, q)
+    if None in found:
+        spread([c for c, entry in enumerate(found)
+                if entry is not None and abs(entry[0]) == 1])
+        for start in range(len(cones)):
+            if found[start] is None and seed(start):
+                spread([start])
+    return tuple(found), negative
+
+
+def _cone_adjugates(fan: Fan) -> tuple[ConeInverse, ...]:
+    """(det, cols) for each maximal cone, in max_cones order, read through
+    fan.cached by validation and the cone coordinates: the table that
+    _walk builds."""
+    return fan.cached(_walk)[0]
 
 
 def _cone_coordinates(fan: Fan, index: int,
@@ -350,23 +410,16 @@ def _h_counts(fan: Fan) -> tuple[int, ...]:
     last nonzero entry; no column of an invertible N is zero, so w lies on
     no cone's boundary. A cone with dependent rays raises SingularBasis.
 
-    The walk hands unchanged columns from cone to cone as the same tuple
-    objects (on (P^1)^10, 1033 distinct columns fill 10240 slots), so each
-    distinct column's sign is read once, keyed by its id, which stays
-    unique while the table holds the column.
+    The walk counts each cone's negative columns as it builds the table: a
+    cone with its own adjugate counts all n, and a crossing adds the change
+    in sign of the few columns it builds or negates. So h is a histogram
+    of those counts, with no pass over the table's n * #cones column slots.
     """
-    table = fan.cached(_cone_adjugates)
-    distinct: dict[int, tuple[int, ...]] = {}
-    for _, cols in table:
-        if cols is None:
-            raise SingularBasis("basis vectors are linearly dependent")
-        distinct.update(zip(map(id, cols), cols))
-    negative = {key: next(x for x in reversed(col) if x) < 0
-                for key, col in distinct.items()}
-    h = [0] * (fan.dim + 1)
-    for _, cols in table:
-        h[sum(map(negative.__getitem__, map(id, cols)))] += 1
-    return tuple(h)
+    table, negative = fan.cached(_walk)
+    # The table's one entry for a cone with dependent rays is (0, None).
+    if (0, None) in table:
+        raise SingularBasis("basis vectors are linearly dependent")
+    return tuple(map(negative.count, range(fan.dim + 1)))
 
 
 def _check_covering_degree(fan: Fan, dets: Sequence[int]) -> CheckResult:
@@ -466,7 +519,11 @@ def _rays_of(mask: int) -> ConeRef:
 
 
 def _max_cone_masks(fan: Fan) -> tuple[int, ...]:
-    return tuple(_mask_of(c) for c in fan.max_cones)
+    """The bit mask of each maximal cone, in max_cones order, each a sum
+    of bits looked up in one list: a C-level map, with no shift and no
+    generator frame per cone."""
+    bit = [1 << i for i in range(len(fan.rays))].__getitem__
+    return tuple([sum(map(bit, c)) for c in fan.max_cones])
 
 
 def faces(fan: Fan, j: int) -> list[ConeRef]:

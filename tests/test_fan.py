@@ -497,6 +497,54 @@ def test_adjugate_walk_seeds_once_per_component(monkeypatch):
     assert table[weighted.max_cones.index((0, 2, 3))][0] == 2
 
 
+def _one_pass_reach(fan):
+    """The cones that one pass over the wall table, in its insertion
+    order, reaches from cone 0 on a smooth fan, where every crossing is a
+    unit one: at each wall with one side reached, the other side."""
+    reached = {0}
+    for sides in fan.cached(fan_module._walls).values():
+        sides = set(sides[::2])
+        if len(sides & reached) == 1:
+            reached |= sides
+    return reached
+
+
+# A blown-up plane under GL(2, Z): one pass over its wall table leaves 3 of
+# its 11 cones unreached, so the breadth-first walk takes over from the
+# cones the pass reached.
+ONE_PASS_SHORT = make_fan(
+    2, [(-8, -5), (-7, -5), (-5, -3), (-4, -3), (-3, -2), (-2, -1), (-1, -1),
+        (1, 0), (1, 1), (2, 1), (3, 1)],
+    [(0, 2), (0, 4), (1, 3), (1, 4), (2, 5), (3, 6), (5, 8), (6, 7), (7, 10),
+     (8, 9), (9, 10)])
+
+
+def test_adjugate_walk_takes_over_where_one_pass_stops(monkeypatch):
+    fan = make_fan(2, ONE_PASS_SHORT.rays, ONE_PASS_SHORT.max_cones)
+    assert validate(ONE_PASS_SHORT).ok
+    assert len(_one_pass_reach(fan)) == 8
+    assert _walk_counts(monkeypatch, fan)[0] == 1
+    assert fan.cached(fan_module._h_counts) == (1, 9, 1) == \
+        _h_by_column_slots(fan)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_adjugate_walk_on_blown_up_planes_under_gl_2_z(transformed, data):
+    # Star subdivisions of P^2 and P^1 x P^1 under GL(2, Z): about one in
+    # five of these draws leaves cones that one pass over the wall table
+    # does not reach.
+    fan = data.draw(st.sampled_from((
+        construct_projective_space(2),
+        construct_product(construct_projective_space(1),
+                          construct_projective_space(1)))))
+    for _ in range(data.draw(st.integers(5, 12))):
+        fan = star_subdivision(fan, data.draw(st.sampled_from(fan.max_cones)))
+    fan = transformed(fan, data)
+    _assert_walk_matches_bareiss(fan)
+    assert fan.cached(fan_module._h_counts) == _h_by_column_slots(fan)
+
+
 def test_adjugate_walk_hands_over_the_columns_a_unit_crossing_keeps(
         all_corpus_fans):
     # Every cone but a seed is reached across a wall from a cone c. On a
@@ -572,6 +620,37 @@ def test_h_counts_on_arbitrary_rays(drawn_fan, data):
             fan_module._h_counts(fan)
     else:
         assert fan_module._h_counts(fan) == expected
+
+
+# The wound surfaces and their products with P^1, with h_0, the covering
+# degree.
+WOUND_FANS = {
+    "doubly_wound": (_wound(WOUND_RAYS), 2),
+    "triply_wound": (_wound(TRIPLY_WOUND_RAYS), 3),
+    "doubly_wound_x_P1": (construct_product(
+        _wound(WOUND_RAYS), construct_projective_space(1)), 2),
+    "triply_wound_x_P1": (construct_product(
+        _wound(TRIPLY_WOUND_RAYS), construct_projective_space(1)), 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WOUND_FANS))
+def test_h_counts_match_a_scan_of_every_column_on_wound_fans(name):
+    fan, degree = WOUND_FANS[name]
+    h = fan.cached(fan_module._h_counts)
+    assert h == _h_by_column_slots(fan)
+    assert h[0] == degree
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_h_counts_on_gl_3_z_images_of_wound_products(transformed, data):
+    fan, degree = WOUND_FANS[data.draw(st.sampled_from(
+        ["doubly_wound_x_P1", "triply_wound_x_P1"]))]
+    moved = transformed(fan, data)
+    h = moved.cached(fan_module._h_counts)
+    assert h == _h_by_column_slots(moved)
+    assert h[0] == degree
 
 
 def _assert_wall_coordinates(fan):
