@@ -32,7 +32,7 @@ import operator
 from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import lattice
 from .errors import (
@@ -219,9 +219,12 @@ def _walls(fan: Fan) -> dict[int, tuple[int, ...]]:
 
 
 def _check_facet_pairing(fan: Fan) -> CheckResult:
-    bad = sorted(_rays_of(w) for w, s in fan.cached(_walls).items()
-                 if len(s) != 4)
-    if bad:
+    """Each wall lies in exactly two maximal cones. One set of entry
+    lengths decides the common case; the sorted list of bad walls is built
+    only when some wall fails (every fan has a cone, so a wall)."""
+    walls = fan.cached(_walls)
+    if set(map(len, walls.values())) != {4}:
+        bad = sorted(_rays_of(w) for w, s in walls.items() if len(s) != 4)
         return CheckResult(
             "facet_pairing", False,
             f"facets not shared by exactly two maximal cones: {bad[:5]}")
@@ -430,7 +433,9 @@ def _check_covering_degree(fan: Fan, dets: Sequence[int]) -> CheckResult:
     sorted cone c at position p lies on side sign(det c) * (-1)^(n-1-p) of
     the wall c minus p (the sign of the determinant with that ray moved
     last), and the two cones at a wall must put their opposite rays on
-    opposite sides, so det c * (-1)^p must differ between them. The wall
+    opposite sides, so det c * (-1)^p must differ between them: with every
+    det +-1 after smoothness, they are equal exactly when the dets agree
+    and p - q is even, or the dets differ and p - q is odd. The wall
     reported is the first by its second side in (cone, position) order.
     Facet pairing plus this coherent orientation make the number of cones
     over a generic point the same everywhere: it equals the covering
@@ -442,7 +447,7 @@ def _check_covering_degree(fan: Fan, dets: Sequence[int]) -> CheckResult:
     cones = fan.max_cones
     folded = [((cones[c], q), cones[other], wall) for wall, (other, p, c, q)
               in fan.cached(_walls).items()
-              if dets[other] * (-1) ** p == dets[c] * (-1) ** q]
+              if (dets[other] == dets[c]) == ((p - q) % 2 == 0)]
     if folded:
         (c, _), other, wall = min(folded)
         return CheckResult(
@@ -498,14 +503,6 @@ def require_valid(fan: Fan) -> Fan:
 def _mask_of(ref: Iterable[int]) -> int:
     """The bit mask of a set of ray indices, bit i for ray i."""
     return sum(1 << i for i in ref)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The one-bit masks of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 def _rays_of(mask: int) -> ConeRef:

@@ -19,7 +19,7 @@ from .errors import (
     NonIntegralCoefficient,
     NotInSupport,
 )
-from .fan import Fan, _bits, _cone_coordinates, _max_cone_masks, _rays_of
+from .fan import Fan, _cone_coordinates, _max_cone_masks, _rays_of
 
 Collection = tuple[int, ...]
 
@@ -51,33 +51,35 @@ def _minimal_non_faces(fan: Fan) -> tuple[Collection, ...]:
     stayed, so what is kept is again the minimal transversals. A
     complement that every transversal meets changes nothing.
 
-    An extension t | bit holds a stayed set s only when s meets the
-    complement in bit alone and s's other rays lie in t. So each missed t
-    gets one mask: the complement with the bit of every such s cleared,
-    and t is extended by the bits left in it.
+    An extension t | bit holds a stayed set s exactly when s & ~t is bit
+    alone: s meets the complement and t does not, so s has a ray outside
+    t, and that ray must be bit. So each missed t gets one mask: the
+    complement with every such one-bit s & ~t cleared, and t is extended
+    by the bits left in it. The extensions join the family only after the
+    step, so each is tested against the stayed sets alone.
     """
     everything = (1 << len(fan.rays)) - 1
     minimal = [0]
     for cone in fan.cached(_max_cone_masks):
-        edge = everything ^ cone
-        missed = [t for t in minimal if not t & edge]
+        missed = [t for t in minimal if t & cone == t]
         if not missed:
             continue
-        minimal = [t for t in minimal if t & edge]
-        # The stayed sets that meet the complement in one bit: their rests
-        # s & cone -> the bits they meet it in.
-        rests: dict[int, int] = {}
-        for s in minimal:
-            met = s & edge
-            if not met & (met - 1):
-                rest = s ^ met
-                rests[rest] = rests.get(rest, 0) | met
+        for t in missed:
+            minimal.remove(t)
+        edge = everything ^ cone
+        extensions = []
         for t in missed:
             free = edge
-            for rest, met in rests.items():
-                if rest & t == rest:
-                    free &= ~met
-            minimal += [t | bit for bit in _bits(free)]
+            outside = ~t
+            for s in minimal:
+                extra = s & outside
+                if not extra & (extra - 1):
+                    free &= ~extra
+            while free:
+                bit = free & -free
+                extensions.append(t | bit)
+                free ^= bit
+        minimal += extensions
     return tuple(sorted((_rays_of(mask) for mask in minimal),
                         key=lambda c: (len(c), c)))
 

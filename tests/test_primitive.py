@@ -261,9 +261,31 @@ def _hypergraphs(draw):
 # The ray (1, 1), index 3, lies in no cone.
 @example(fan=make_fan(2, [(1, 0), (0, 1), (-1, -1), (1, 1)],
                       [(0, 1), (1, 2), (0, 2)]))
+# Two disjoint cones: the second misses both transversals {2} and {3} of
+# the first complement in one step, and each is extended by 0 and by 1, to
+# ((0, 2), (0, 3), (1, 2), (1, 3)).
+@example(fan=make_fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
+                      [(0, 1), (2, 3)]))
 def test_berge_finds_the_minimal_non_faces_of_arbitrary_hypergraphs(fan):
     assert list(primitive._minimal_non_faces(fan)) == \
         _brute_minimal_non_faces(fan)
+
+
+@pytest.mark.parametrize("m", [20, 40])
+def test_collections_of_a_cycle_are_its_non_adjacent_pairs(m):
+    # A smooth complete surface with m rays, past the oracle's 16: its
+    # cones form an m-cycle, and the primitive collections of a cycle are
+    # exactly its m(m - 3)/2 non-adjacent pairs.
+    fan = construct_product(construct_projective_space(1),
+                            construct_projective_space(1))
+    for step in range(m - 4):
+        fan = star_subdivision(fan, fan.max_cones[step % len(fan.max_cones)])
+    assert validate(fan).ok
+    assert (len(fan.rays), len(fan.max_cones)) == (m, m)
+    edges = set(fan.max_cones)
+    pairs = [p for p in combinations(range(m), 2) if p not in edges]
+    assert len(pairs) == m * (m - 3) // 2
+    assert primitive_collections(fan) == pairs
 
 
 # The fan of the del Pezzo surface of degree 6, over the hexagon.
