@@ -1,15 +1,20 @@
 """Line-oriented text formats for fans and polytope vertex lists, the
 face-fan construction, and deterministic report rendering.
 
-The face fan of a `.poly` polytope has one cone per facet. The facets are
-those of the cone over the points (v, 1), from lattice.cone_facets: a
-facet's vertices are its tight set, and its inner normal (a, b) keeps the
-origin strictly inside when b > 0. A facet with more than n vertices
-raises NonSimplicialFacet, and one that does not keep the origin strictly
-inside raises OriginNotInterior; the facets are checked in the order of
-their normals, so on a polytope with both faults the first facet in that
-order decides which. Vertices that span no more than a proper affine
-subspace raise OriginNotInterior.
+The face fan of a `.poly` polytope has one cone per facet. The vertices
+are sorted once, lexicographically, and the facets are those of the cone
+over the points (v, 1), from lattice.cone_facets, which inserts the sorted
+vertices in that order: a facet's vertices are its tight set, a sorted
+tuple of indices into the sorted rows, which are the canonical rays, so
+the face fan is a Fan as it stands, without make_fan's checks and remap.
+A facet's inner normal (a, b) keeps the origin strictly inside when
+b > 0. A facet with more than n vertices raises NonSimplicialFacet, and
+one that does not keep the origin strictly inside raises
+OriginNotInterior; the facets are checked in the order of their normals,
+which does not depend on the order of the vertices, so on a polytope with
+both faults the first facet in that order decides which, and the error
+names the facet's vertices by their index in the input. Vertices that
+span no more than a proper affine subspace raise OriginNotInterior.
 
 The `.fan` grammar: a header line `FAN <n> <m> <c>`, then m ray lines of n
 integers each, then c cone lines of n ray indices each. The `.poly` grammar:
@@ -22,8 +27,8 @@ the arity of every row, one token check over the block, one map(int), and
 for cones one min and one max over all indices and one set per row. A
 block that fails any of these is read or checked again row by row, so the
 error names the same line and the same first bad token as a row-by-row
-reader would. The checked rows go straight to the canonical form that
-make_fan ends in, without make_fan's own checks.
+reader would. The checked rays and cones of a `.fan` file go straight to
+the canonical form that make_fan ends in, without make_fan's own checks.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .errors import (
     OriginNotInterior,
     SingularBasis,
 )
-from .fan import Fan, _canonical_fan, _rays_of, make_fan, require_valid
+from .fan import Fan, _canonical_fan, _rays_of, require_valid
 
 
 _LINE_BREAK = re.compile(r"\r\n?|\n")
@@ -185,13 +190,27 @@ def serialize_fan(fan: Fan) -> str:
     return "\n".join(out) + "\n"
 
 
-def _polytope_facets(vertices: Sequence[tuple[int, ...]],
-                     n: int) -> list[tuple[int, ...]]:
+def _named(mask: int, names: Sequence[int] | None) -> tuple[int, ...]:
+    """The vertices of a tight mask as an error names them: names[i] for
+    bit i, sorted, or the bits themselves when names is None."""
+    on_plane = _rays_of(mask)
+    if names is None:
+        return on_plane
+    return tuple(sorted(map(names.__getitem__, on_plane)))
+
+
+def _polytope_facets(vertices: Sequence[tuple[int, ...]], n: int,
+                     names: Sequence[int] | None = None
+                     ) -> list[tuple[int, ...]]:
     """Facet vertex-index sets of conv(vertices), sorted: the tight sets of
-    the facets of the cone over the points (v, 1). The facets are checked
-    in the order of their normals; one with more than n vertices raises
+    the facets of the cone over the points (v, 1), each a sorted tuple of
+    indices into vertices. The hull inserts the vertices in the order
+    given. The facets are checked in the order of their normals, which
+    does not depend on that order; one with more than n vertices raises
     NonSimplicialFacet, and one whose inner normal (a, b) has b <= 0 fails
-    to keep the origin strictly inside and raises OriginNotInterior."""
+    to keep the origin strictly inside and raises OriginNotInterior. The
+    error names vertex i as names[i], its input index when the caller has
+    reordered the vertices, and as i when names is None."""
     try:
         facets = lattice.cone_facets([v + (1,) for v in vertices])
     except SingularBasis:
@@ -199,22 +218,27 @@ def _polytope_facets(vertices: Sequence[tuple[int, ...]],
             "the vertices lie in a proper affine subspace") from None
     out = []
     for normal, mask in facets:
-        on_plane = _rays_of(mask)
-        if len(on_plane) > n:
+        size = mask.bit_count()
+        if size > n:
             raise NonSimplicialFacet(
-                f"facet through vertices {on_plane} has {len(on_plane)} "
+                f"facet through vertices {_named(mask, names)} has {size} "
                 f"vertices in dimension {n}")
         if normal[-1] <= 0:
             raise OriginNotInterior(
-                f"facet through vertices {on_plane} does not separate the "
-                "origin strictly from the outside")
-        out.append(on_plane)
+                f"facet through vertices {_named(mask, names)} does not "
+                "separate the origin strictly from the outside")
+        out.append(_rays_of(mask))
     return sorted(out)
 
 
 def parse_polytope_unchecked(text: str) -> Fan:
     """Parse the `.poly` grammar and return the face fan of the convex hull
-    of the vertices, without running mathematical validation."""
+    of the vertices, without running mathematical validation.
+
+    The vertices are sorted once, and the hull inserts them in that order.
+    Its facets are then sorted tuples of indices into the sorted rows, the
+    canonical form that make_fan ends in, so the Fan is built from them
+    directly."""
     lines = _significant_lines(text)
     _, (n, m) = _parse_header(lines, "POLY", 2)
     vertices = _tuples(_take_rows(lines, 1, m, n, "vertex"), n)
@@ -223,7 +247,9 @@ def parse_polytope_unchecked(text: str) -> Fan:
     if m < n + 1:
         raise OriginNotInterior(
             f"{m} vertices cannot enclose the origin in dimension {n}")
-    return make_fan(n, vertices, _polytope_facets(vertices, n))
+    order = sorted(range(m), key=vertices.__getitem__)
+    rows = tuple([vertices[i] for i in order])
+    return Fan(n, rows, tuple(_polytope_facets(rows, n, order)))
 
 
 # ---------------------------------------------------------------------------

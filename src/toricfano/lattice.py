@@ -31,11 +31,9 @@ def vector_sum(vectors: Sequence[Sequence[int]], dim: int) -> IntVector:
 
 
 def content(v: Sequence[int]) -> int:
-    """gcd of the coordinates; 0 for the zero vector."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g
+    """gcd of the coordinates, nonnegative, by one C-level math.gcd call;
+    0 for the zero vector and for the empty one."""
+    return gcd(*v)
 
 
 def is_primitive(v: Sequence[int]) -> bool:
@@ -43,8 +41,11 @@ def is_primitive(v: Sequence[int]) -> bool:
 
 
 def make_primitive(v: Sequence[int]) -> IntVector:
-    """Divide a nonzero vector by the gcd of its coordinates."""
-    g = content(v)
+    """Divide a nonzero vector by the gcd of its coordinates, as a tuple;
+    a vector that is already primitive comes back as tuple(v)."""
+    g = gcd(*v)
+    if g == 1:
+        return tuple(v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
@@ -206,10 +207,10 @@ def cone_facets(vectors: Sequence[Sequence[int]]
                     t ^= b
         every_ray = (1 << len(rays)) - 1
         for i in positive:
-            for j in negative:
-                common = tight[i] & tight[j]
-                if common.bit_count() < d - 2:
-                    continue
+            ti = tight[i]
+            near = [(j, common) for j in negative
+                    if (common := ti & tight[j]).bit_count() >= d - 2]
+            for j, common in near:
                 meet, rest = every_ray, common
                 while rest:
                     b = rest & -rest

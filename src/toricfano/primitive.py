@@ -142,8 +142,10 @@ def primitive_relation(fan: Fan, collection: Sequence[int]) -> PrimitiveRelation
         vec[i] = -a
     relation = PrimitiveRelation(collection, targets, coeffs, order, degree,
                                  tuple(vec))
-    if any(sum(a * r[j] for a, r in zip(relation.class_vector, fan.rays))
-           for j in range(fan.dim)):
+    # The class vector is zero off the collection and the targets, so the
+    # kernel identity sums those rays alone.
+    support = [(vec[i], fan.rays[i]) for i in collection + targets]
+    if any(sum(a * r[j] for a, r in support) for j in range(fan.dim)):
         raise InternalInconsistency(
             f"relation of {collection} is not in the kernel")
     return relation

@@ -431,6 +431,58 @@ def test_face_fan_under_relabelling_and_gl_n_z(transformed, data):
     assert mukai_check(moved).equality_case == mukai_check(fan).equality_case
 
 
+def _input_order_face_fan(vertices, n):
+    """The reference face fan: the hull inserts the vertices in input
+    order, and make_fan puts the result in canonical form."""
+    return make_fan(n, vertices, _polytope_facets(vertices, n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sorted_face_fan_equals_make_fan_on_input_order(transformed, data):
+    kind = data.draw(st.sampled_from(("cross", "hexagons", "corpus")))
+    if kind == "corpus":
+        path = data.draw(st.sampled_from(
+            sorted(corpus_directory().glob("*.poly"))))
+        vertices = _vertices(path.read_text(encoding="utf-8"))
+        fan = _input_order_face_fan(vertices, len(vertices[0]))
+    else:
+        fan = _product([P1] * data.draw(st.integers(1, 6))
+                       if kind == "cross"
+                       else [HEXAGON] * data.draw(st.integers(1, 2)))
+    vertices = data.draw(st.permutations(transformed(fan, data).rays))
+    got = parse_polytope_unchecked(_poly_text(vertices))
+    assert got == _input_order_face_fan(vertices, fan.dim)
+    assert list(got.rays) == sorted(vertices)
+
+
+CUBE = [(x, y, z) for x in (1, -1) for y in (1, -1) for z in (1, -1)]
+# The origin lies outside this quadrilateral, beyond its edge on x = 1.
+OUTSIDE = [(1, 0), (2, 1), (1, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("vertices, error, named", [
+    (CUBE, NonSimplicialFacet, [(1, 1, 1), (1, 1, -1), (1, -1, 1),
+                                (1, -1, -1)]),
+    (OUTSIDE, OriginNotInterior, [(1, 0), (1, 2)]),
+], ids=["cube", "origin-outside"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_errors_name_vertices_by_their_input_line(vertices, error, named,
+                                                  data):
+    shuffled = data.draw(st.permutations(vertices))
+    with pytest.raises(error) as got:
+        parse_polytope_unchecked(_poly_text(shuffled))
+    # The reference: the hull on the input order, whose indices are the
+    # input lines' own.
+    with pytest.raises(error) as old:
+        _polytope_facets(shuffled, len(vertices[0]))
+    assert str(got.value) == str(old.value)
+    indices = re.search(r"vertices \(([0-9, ]+)\)", str(got.value)).group(1)
+    assert sorted(shuffled[int(i)] for i in indices.split(", ")) == \
+        sorted(named)
+
+
 def test_render_report_is_deterministic():
     data = {"beta": [1, 2], "alpha": {"y": False, "x": None},
             "gamma": [{"b": 2, "a": 1}]}

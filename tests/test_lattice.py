@@ -16,6 +16,7 @@ from toricfano.errors import NotSquare, SingularBasis
 from toricfano.lattice import (
     adjugate,
     cone_facets,
+    content,
     is_primitive,
     make_primitive,
     solve_in_basis,
@@ -192,6 +193,32 @@ def test_primitivity_helpers():
     assert not is_primitive((2, -2, 0))
     assert not is_primitive((0, 0))
     assert make_primitive((4, -6, 2)) == (2, -3, 1)
+
+
+@pytest.mark.parametrize("v, g", [
+    ((), 0), ((0,), 0), ((0, 0, 0), 0), ((5,), 5), ((-5,), 5),
+    ((-4, -6), 2), ((-4, 6, 0), 2), ((3, -7), 1), ((0, -1, 0), 1),
+])
+def test_content_is_the_nonnegative_gcd(v, g):
+    assert content(v) == g
+    assert content(list(v)) == g
+    assert is_primitive(v) == (g == 1)
+
+
+@pytest.mark.parametrize("v, want", [
+    ((-5,), (-1,)), ((7,), (1,)), ((-4, -6), (-2, -3)),
+    ((0, -3, 6), (0, -1, 2)), ((3, -7), (3, -7)), ((0, -1, 0), (0, -1, 0)),
+])
+def test_make_primitive_keeps_signs_and_returns_a_tuple(v, want):
+    assert make_primitive(v) == want
+    got = make_primitive(list(v))
+    assert type(got) is tuple and got == want
+
+
+@pytest.mark.parametrize("v", [(), (0,), (0, 0, 0), [0, 0]])
+def test_make_primitive_rejects_a_zero_vector(v):
+    with pytest.raises(ValueError, match="zero vector"):
+        make_primitive(v)
 
 
 def _facets_by_subsets(vectors):

@@ -14,6 +14,7 @@ from toricfano import fan as fan_module
 from toricfano import fvector, primitive
 from toricfano.cli import _invariants_payload
 from toricfano.errors import (
+    InternalInconsistency,
     NonIntegralCoefficient,
     NotInSupport,
     SingularBasis,
@@ -122,6 +123,34 @@ def test_dependent_cone_before_the_sum_raises_singular_basis():
     assert not checks["covering_degree"].passed
     assert checks["covering_degree"].detail == \
         "not attempted: earlier checks failed"
+
+
+def test_a_relation_off_the_kernel_raises_internal_inconsistency(
+        monkeypatch):
+    # The hexagon's rays (0, 1) and (1, 0) sum to the ray (1, 1). A
+    # positive numerator raised by size in the cone that holds the sum
+    # adds one copy of its ray to it, so the relation still has integral
+    # coefficients and targets apart from the collection, but its class
+    # is off the kernel.
+    hexagon = make_fan(2, [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1),
+                           (0, -1)],
+                       [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+    collection = (hexagon.rays.index((0, 1)), hexagon.rays.index((1, 0)))
+    assert collection in primitive_collections(hexagon)
+    assert primitive_relation(hexagon, collection).coeffs == (1,)
+    coordinates = primitive._cone_coordinates
+
+    def off_by_one(fan, index, target):
+        nums, size = coordinates(fan, index, target)
+        if min(nums) < 0:
+            return nums, size
+        k = next(k for k, x in enumerate(nums) if x > 0)
+        return nums[:k] + (nums[k] + size,) + nums[k + 1:], size
+
+    monkeypatch.setattr(primitive, "_cone_coordinates", off_by_one)
+    with pytest.raises(InternalInconsistency,
+                       match=r"^relation of \(3, 4\) is not in the kernel$"):
+        primitive_relation(hexagon, collection)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
