@@ -30,8 +30,9 @@ from .errors import (
     InternalInconsistency,
     NonIntegralResult,
     RegimeUnsupported,
+    ValidationError,
 )
-from .fan import Fan, _h_counts
+from .fan import Fan, _h_counts, validate
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,16 @@ def _face_counts(fan: Fan) -> tuple[int, ...]:
     """f_{-1}..f_{n-1}, from the fan's cached h-vector counts (fan._h_counts,
     Fulton 1993, section 5.2): f_{j-1} = sum_i C(n-i, j-i) h_i. Counting
     for -w gives h reversed, so h must be palindromic (Dehn-Sommerville); a
-    fan where it is not raises InternalInconsistency.
+    fan where it is not raises InternalInconsistency. h_0 is the number of
+    cones over a generic point, so a fan that wraps around more than once
+    raises ValidationError with its report.
     """
     n = fan.dim
     h = fan.cached(_h_counts)
     if not is_palindromic(h):
         raise InternalInconsistency(f"h-vector {list(h)} is not palindromic")
+    if h[0] != 1:
+        raise ValidationError(validate(fan))
     return tuple(sum(comb(n - i, j - i) * h[i] for i in range(j + 1))
                  for j in range(n + 1))
 

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -22,6 +20,8 @@ from toricfano import fan as fan_module
 from toricfano import invariants, lattice, primitive
 from toricfano.cli import main
 from toricfano.oracle import corpus_directory
+
+from cli_cases import CASES, run_case, run_in_process
 
 PLANE = "FAN 2 3 3\n1 0\n0 1\n-1 -1\n0 1\n1 2\n0 2\n"
 INCOMPLETE = "FAN 2 3 2\n1 0\n0 1\n-1 -1\n0 1\n1 2\n"
@@ -46,6 +46,12 @@ def plane_file(tmp_path):
     return str(path)
 
 
+@pytest.mark.parametrize("case", CASES, ids=[case.id for case in CASES])
+def test_cli_case(case):
+    _, failures = run_case(case, run_in_process)
+    assert failures == []
+
+
 def test_validate_ok(plane_file, capsys):
     assert main(["validate", plane_file]) == 0
     out = capsys.readouterr()
@@ -58,11 +64,6 @@ def test_validate_names_failing_check(tmp_path, capsys):
     path.write_text(INCOMPLETE)
     assert main(["validate", str(path)]) == 1
     assert "facet_pairing" in capsys.readouterr().out
-
-
-def test_validate_missing_file(capsys):
-    assert main(["validate", "/no/such/file.fan"]) == 2
-    assert "error:" in capsys.readouterr().err
 
 
 def test_validate_syntax_error_exit(tmp_path, capsys):
@@ -104,26 +105,6 @@ def test_invariants_withholds_iota_for_non_fano(tmp_path, capsys):
     assert data["pseudo_index_iota"] is None
 
 
-def test_mukai_equality(capsys):
-    path = str(corpus_directory() / "product_2x2.fan")
-    assert main(["mukai", path, "--format", "json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["equality_case"] == "ProductOfProjectiveSpaces"
-    assert data["factors"] == [2, 2]
-
-
-def test_mukai_rejects_non_fano(tmp_path, capsys):
-    path = tmp_path / "hirzebruch.fan"
-    path.write_text(HIRZEBRUCH)
-    assert main(["mukai", str(path)]) == 2
-    assert "not Fano" in capsys.readouterr().err
-    # F_3, whose primitive relation of least degree has degree -1.
-    path.write_text(HIRZEBRUCH.replace("-1 2", "-1 3"))
-    assert main(["mukai", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "not Fano" in captured.err
-
-
 def test_mukai_reads_no_cone_coordinates(monkeypatch, capsys):
     # mukai reads iota off the primitive relations, so it builds no wall
     # curve and makes no rational solve, and validation reads the covering
@@ -148,65 +129,12 @@ def test_mukai_reads_no_cone_coordinates(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["factors"] == [1, 1, 1, 1]
 
 
-def test_bounds_row(capsys):
-    assert main(["bounds", "7", "3", "--format", "json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["face_count_bound"] == 2
-    assert data["mukai_bound"] == 3
-    assert data["face_count_bound_suffices"] is True
-
-
-def test_bounds_unsupported_regime(capsys):
-    assert main(["bounds", "4", "4"]) == 2
-    assert "regime" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("n, iota", [("1_3", "\u0665"), ("1_3", "5"),
-                                     ("13", "\u0665")])
-def test_bounds_reads_only_ascii_integers(n, iota, capsys):
-    # int() reads `1_3` as 13 and the Arabic-Indic digit five as 5.
-    with pytest.raises(SystemExit) as exit_:
-        main(["bounds", n, iota])
-    assert exit_.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "invalid" in err
-
-
-@pytest.mark.parametrize("argv", [["bounds", "x" * 100_000, "5"],
-                                  ["batch", ".", "--workers", "x" * 100_000]])
-def test_rejected_integer_argument_is_echoed_shortened(argv, capsys):
-    with pytest.raises(SystemExit) as exit_:
-        main(argv)
-    assert exit_.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "invalid" in err and len(err.encode()) < 300
-
-
 def test_structured_format_alias(plane_file, capsys):
     assert main(["invariants", plane_file, "--format", "json"]) == 0
     first = capsys.readouterr().out
     assert main(["invariants", plane_file, "--format",
                  "json-like-structured"]) == 0
     assert capsys.readouterr().out == first
-
-
-def test_batch_corpus_passes(capsys):
-    assert main(["batch", str(corpus_directory()), "--format", "json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["summary"]["check_failures"] == 0
-    assert data["summary"]["parse_errors"] == 0
-    assert data["summary"]["files"] == data["summary"]["passed"]
-    paths = [e["path"] for e in data["entries"]]
-    assert paths == sorted(paths)
-
-
-def test_batch_is_deterministic(tmp_path, capsys):
-    outputs = []
-    for _ in range(2):
-        assert main(["batch", str(corpus_directory()),
-                     "--format", "json"]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
 
 
 def test_batch_records_corrupt_files_without_failing(tmp_path, capsys):
@@ -259,14 +187,6 @@ def test_batch_empty_directory(tmp_path, capsys):
     assert data["summary"]["files"] == 0
 
 
-def test_batch_workers_match_serial(capsys):
-    assert main(["batch", str(corpus_directory()), "--format", "json"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["batch", str(corpus_directory()), "--format", "json",
-                 "--workers", "2"]) == 0
-    assert capsys.readouterr().out == serial
-
-
 @pytest.mark.parametrize("fmt", sorted(GOLDEN_BATCH_SHA256))
 def test_batch_report_matches_golden_digest(fmt, monkeypatch, capsys):
     # Relative paths keep the report independent of the checkout location.
@@ -284,15 +204,6 @@ def test_batch_rejects_fewer_than_one_worker(workers, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-
-
-def test_batch_reads_only_ascii_workers(tmp_path, capsys):
-    (tmp_path / "plane.fan").write_text(PLANE)
-    with pytest.raises(SystemExit) as exit_:
-        main(["batch", str(tmp_path), "--workers", "\u0662"])
-    assert exit_.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "--workers" in err
 
 
 class _SerialPool:
@@ -374,19 +285,24 @@ _TOKENS = st.one_of(
     st.sampled_from(("", "x", "1_0", "\u0665", "1.5", "-0", "9" * 30, "FAN",
                      "POLY")),
     st.text(max_size=3))
+# NUL, CR, VT, NEL, and 0xff, no UTF-8 byte, which surrogateescape writes.
+_BYTES = ("\x00", "\r", "\x0b", "\x85", "\udcff")
 
 
 @st.composite
 def _mutated_corpus_files(draw):
     """(suffix, text): a small corpus file after one to three mutations,
-    each replacing one token, or deleting, duplicating or swapping lines."""
+    each replacing one token, deleting, duplicating or swapping lines, or
+    replacing, inserting or deleting one character (putting in one of
+    _BYTES)."""
     path = draw(st.sampled_from(_FUZZ_SOURCES))
     lines = path.read_text(encoding="utf-8").splitlines()
     for _ in range(draw(st.integers(1, 3))):
         if not lines:
             break
         i = draw(st.integers(0, len(lines) - 1))
-        op = draw(st.sampled_from(("token", "delete", "duplicate", "swap")))
+        op = draw(st.sampled_from(("token", "delete", "duplicate", "swap",
+                                   "byte")))
         if op == "token":
             tokens = lines[i].split() or [""]
             tokens[draw(st.integers(0, len(tokens) - 1))] = draw(_TOKENS)
@@ -395,9 +311,14 @@ def _mutated_corpus_files(draw):
             del lines[i]
         elif op == "duplicate":
             lines.insert(i, lines[i])
-        else:
+        elif op == "swap":
             j = draw(st.integers(0, len(lines) - 1))
             lines[i], lines[j] = lines[j], lines[i]
+        else:
+            k = draw(st.integers(0, len(lines[i])))
+            edit = draw(st.sampled_from(("replace", "insert", "delete")))
+            put = "" if edit == "delete" else draw(st.sampled_from(_BYTES))
+            lines[i] = lines[i][:k] + put + lines[i][k + (edit != "insert"):]
     return path.suffix, "\n".join(lines) + "\n"
 
 
@@ -407,9 +328,9 @@ def test_mutated_corpus_files_keep_the_exit_code_promise(mutated):
     suffix, text = mutated
     with tempfile.TemporaryDirectory() as root:
         path = Path(root, "mutated" + suffix)
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         for argv in (["validate", str(path)], ["invariants", str(path)],
                      ["mukai", str(path)], ["batch", root]):
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                assert main(argv) in (0, 1, 2), (argv, text)
+            code, _, err = run_in_process(argv)
+            assert code in (0, 1, 2) and "Traceback" not in err, \
+                (argv, text)

@@ -16,6 +16,7 @@ from toricfano.errors import (
     DimensionOutOfRange,
     NotACone,
     SingularBasis,
+    ValidationError,
 )
 from toricfano.fan import (
     construct_product,
@@ -29,7 +30,8 @@ from toricfano.fan import (
     validate,
 )
 from toricfano.fvector import f_vector
-from toricfano.invariants import picard_number, wall_curves
+from toricfano.invariants import (degree_sum_identity, picard_number,
+                                  wall_curves)
 from toricfano.io import parse_fan_unchecked, parse_polytope_unchecked
 from toricfano.oracle import corpus_directory
 
@@ -195,6 +197,17 @@ def test_covering_degree_rejects_adversarial_fans(name):
     report = validate(fan)
     assert report.failed_names == ["covering_degree"]
     assert report.checks[-1].detail == detail
+
+
+@pytest.mark.parametrize("name",
+                         sorted(n for n in ADVERSARIAL if "wound" in n))
+def test_face_counts_reject_wound_fans(name):
+    # A wound fan's h-vector is palindromic, but h_0 is its covering degree,
+    # so the face counts it gives would count the empty face more than once.
+    fan, _ = ADVERSARIAL[name]
+    for compute in (f_vector, degree_sum_identity):
+        with pytest.raises(ValidationError, match="covering_degree"):
+            compute(fan)
 
 
 def test_covering_degree_accepts_projective_line():
