@@ -285,7 +285,7 @@ _TOKENS = st.one_of(
     st.sampled_from(("", "x", "1_0", "\u0665", "1.5", "-0", "9" * 30, "FAN",
                      "POLY")),
     st.text(max_size=3))
-# NUL, CR, VT, NEL, and 0xff, no UTF-8 byte, which surrogateescape writes.
+# NUL, CR, VT, NEL, and \udcff, which surrogateescape writes as byte 0xff.
 _BYTES = ("\x00", "\r", "\x0b", "\x85", "\udcff")
 
 
