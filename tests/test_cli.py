@@ -137,6 +137,25 @@ def test_structured_format_alias(plane_file, capsys):
     assert capsys.readouterr().out == first
 
 
+def test_batch_corpus_passes(capsys):
+    assert main(["batch", str(corpus_directory()), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["summary"]["check_failures"] == 0
+    assert data["summary"]["parse_errors"] == 0
+    assert data["summary"]["files"] == data["summary"]["passed"]
+    paths = [e["path"] for e in data["entries"]]
+    assert paths == sorted(paths)
+
+
+def test_batch_is_deterministic(capsys):
+    outputs = []
+    for _ in range(2):
+        assert main(["batch", str(corpus_directory()),
+                     "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_batch_records_corrupt_files_without_failing(tmp_path, capsys):
     (tmp_path / "plane.fan").write_text(PLANE)
     (tmp_path / "corrupt.fan").write_text("FAN 2 3 3\n1 0\nbroken\n")
