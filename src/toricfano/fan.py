@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from operator import mul
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -560,15 +560,22 @@ def construct_projective_space(n: int) -> Fan:
     return make_fan(n, rays, cones)
 
 
-def construct_product(a: Fan, b: Fan) -> Fan:
-    """The product fan: padded rays, unions of cone pairs."""
-    dim = a.dim + b.dim
-    zeros_a = (0,) * b.dim
-    zeros_b = (0,) * a.dim
-    rays = [r + zeros_a for r in a.rays] + [zeros_b + r for r in b.rays]
-    offset = len(a.rays)
-    cones = [ca + tuple(i + offset for i in cb)
-             for ca in a.max_cones for cb in b.max_cones]
+def construct_product(*fans: Fan) -> Fan:
+    """The product of one or more fans: each factor's rays padded with zeros
+    into its own block of coordinates, and one maximal cone per choice of a
+    maximal cone in each factor. A single factor gives that fan back."""
+    if not fans:
+        raise ValueError("the product needs at least one fan")
+    dim = sum(f.dim for f in fans)
+    rays: list[IntVector] = []
+    blocks = []
+    before = 0
+    for f in fans:
+        blocks.append([tuple(i + len(rays) for i in c) for c in f.max_cones])
+        after = (0,) * (dim - before - f.dim)
+        rays += [(0,) * before + r + after for r in f.rays]
+        before += f.dim
+    cones = [sum(choice, ()) for choice in product(*blocks)]
     return make_fan(dim, rays, cones)
 
 

@@ -57,23 +57,22 @@ from .primitive import PrimitiveRelation, all_relations, primitive_collections
 
 @dataclass(frozen=True, slots=True)
 class WallCurve:
-    """An invariant curve: a wall with its two opposite rays and the integer
-    relation u + v = sum(c_i * x_i) over the wall rays, stored as the class
-    vector (+1 at u and v, -c_i at the wall rays)."""
+    """An invariant curve: a wall and the integer relation
+    u + v = sum(c_i * x_i) between its two opposite rays u and v and the
+    wall rays, stored as the class vector (+1 at u and v, -c_i at the wall
+    rays)."""
 
     wall: tuple[int, ...]
-    opposite_rays: tuple[int, int]
     relation: tuple[int, ...]
     anticanonical_degree: int
 
 
 def _wall_curves(fan: Fan) -> tuple[WallCurve, ...]:
     """The wall curves in canonical wall order. Walls with the same class
-    vector, or the same opposite rays, share one tuple for it."""
+    vector share one tuple for it."""
     out = []
     m = len(fan.rays)
     classes: dict[tuple[int, ...], tuple[int, ...]] = {}
-    pairs: dict[tuple[int, int], tuple[int, int]] = {}
     # A wall's first side slices its ray tuple out of the cone, which is
     # cheaper than reading the bits of its mask.
     cones = fan.max_cones
@@ -104,9 +103,7 @@ def _wall_curves(fan: Fan) -> tuple[WallCurve, ...]:
             vec[idx] = -int(coeff)
         relation = tuple(vec)
         relation = classes.setdefault(relation, relation)
-        pair = (u, v) if u < v else (v, u)
-        pair = pairs.setdefault(pair, pair)
-        out.append(WallCurve(wall, pair, relation, sum(relation)))
+        out.append(WallCurve(wall, relation, sum(relation)))
     return tuple(out)
 
 
@@ -316,7 +313,6 @@ def lemma_degree_sum_check(fan: Fan) -> bool:
 class MukaiReport:
     picard_rho: int
     pseudo_index_iota: int
-    is_fano: bool
     dim_n: int
     inequality_lhs: int
     inequality_holds: bool
@@ -351,4 +347,4 @@ def mukai_check(fan: Fan) -> MukaiReport:
             case = "ProductOfProjectiveSpaces"
     else:
         case = "NotEqual"
-    return MukaiReport(rho, iota, True, n, lhs, holds, case, factors)
+    return MukaiReport(rho, iota, n, lhs, holds, case, factors)

@@ -299,11 +299,6 @@ class CorpusEntry:
     fingerprint: dict
 
 
-@dataclass(frozen=True)
-class Corpus:
-    entries: tuple[CorpusEntry, ...]
-
-
 def _fingerprint(fan: Fan) -> dict:
     degrees = sorted(sum(c) for c in fan.cached(_wall_classes))
     # Toric Kleiman criterion: -K is ample iff -K . C > 0 on every wall.
@@ -351,22 +346,15 @@ def _partitions(total: int, largest: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _product_fan(parts: Sequence[int]) -> Fan:
-    fan = construct_projective_space(parts[0])
-    for p in parts[1:]:
-        fan = construct_product(fan, construct_projective_space(p))
-    return fan
-
-
 def _hirzebruch_two() -> Fan:
     rays = ((1, 0), (0, 1), (-1, 2), (0, -1))
     cones = ((0, 1), (1, 2), (2, 3), (0, 3))
     return make_fan(2, rays, cones)
 
 
-def generate_corpus() -> Corpus:
+def generate_corpus() -> tuple[CorpusEntry, ...]:
     """Deterministically build the bundled fan collection with
-    oracle-checked fingerprints."""
+    oracle-checked fingerprints, sorted by name."""
     items: list[tuple[str, Fan]] = []
 
     for n in range(1, 8):
@@ -377,7 +365,8 @@ def generate_corpus() -> Corpus:
             if len(parts) < 2:
                 continue
             name = "product_" + "x".join(str(p) for p in parts)
-            items.append((name, _product_fan(parts)))
+            items.append((name, construct_product(
+                *map(construct_projective_space, parts))))
 
     # Blow-ups of projective space along invariant subvarieties of every
     # codimension >= 2; the center of codimension k is a k-dimensional cone.
@@ -419,7 +408,7 @@ def generate_corpus() -> Corpus:
         _cross_check(name, fan)
         entries.append(CorpusEntry(name, fan, _fingerprint(fan)))
     entries.sort(key=lambda e: e.name)
-    return Corpus(tuple(entries))
+    return tuple(entries)
 
 
 _POLYTOPE_FILES = {
@@ -430,18 +419,18 @@ _POLYTOPE_FILES = {
 }
 
 
-def write_corpus(directory: str | Path) -> Corpus:
+def write_corpus(directory: str | Path) -> tuple[CorpusEntry, ...]:
     """Write every corpus fan as a `.fan` file, a few polytope vertex lists
-    as `.poly` files, and the fingerprint index; returns the corpus."""
+    as `.poly` files, and the fingerprint index; returns the corpus entries."""
     corpus = generate_corpus()
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
-    for entry in corpus.entries:
+    for entry in corpus:
         (root / f"{entry.name}.fan").write_text(serialize_fan(entry.fan),
                                                encoding="utf-8")
     for name, text in sorted(_POLYTOPE_FILES.items()):
         (root / f"{name}.poly").write_text(text, encoding="utf-8")
-    index = {e.name: e.fingerprint for e in corpus.entries}
+    index = {e.name: e.fingerprint for e in corpus}
     (root / "fingerprints.json").write_text(
         json.dumps(index, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return corpus

@@ -13,7 +13,6 @@ import random
 import subprocess
 import tempfile
 from dataclasses import dataclass
-from functools import reduce
 from pathlib import Path
 from typing import Callable
 
@@ -53,7 +52,7 @@ def _cyclic(rays: list[str]) -> str:
 def _deep_token() -> str:
     """(P^1)^10, a bad token on its last cone line, 1045: the block read
     fails, the rows are read again one by one, and stderr names the line."""
-    fan = reduce(construct_product, [construct_projective_space(1)] * 10)
+    fan = construct_product(*[construct_projective_space(1)] * 10)
     lines = serialize_fan(fan).splitlines()
     lines[-1] = "x " + lines[-1].split(" ", 1)[1]
     return "\n".join(lines) + "\n"

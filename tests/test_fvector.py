@@ -48,11 +48,7 @@ from toricfano.fvector import (
 from toricfano.invariants import degree_sum_identity, lemma_degree_sum_check
 
 
-def _power_of_line(n):
-    fan = construct_projective_space(1)
-    for _ in range(n - 1):
-        fan = construct_product(fan, construct_projective_space(1))
-    return fan
+P1 = construct_projective_space(1)
 
 
 def _simplex_counts(n):
@@ -65,7 +61,7 @@ def _cross_counts(n):
 
 def test_f_vector_counts():
     assert f_vector(construct_projective_space(3)).f == (1, 4, 6, 4)
-    assert f_vector(_power_of_line(3)).f == (1, 6, 12, 8)
+    assert f_vector(construct_product(P1, P1, P1)).f == (1, 6, 12, 8)
 
 
 def test_f_vector_needs_independent_cone_rays():
@@ -92,7 +88,7 @@ def test_face_count_conventions():
 
 def test_euler_relation():
     for fan in (construct_projective_space(2), construct_projective_space(5),
-                _power_of_line(4)):
+                construct_product(*[P1] * 4)):
         assert euler_relation_holds(f_vector(fan))
     assert not euler_relation_holds(FVector(3, (1, 4, 6, 5)))
 
@@ -100,7 +96,7 @@ def test_euler_relation():
 def test_binomial_identities():
     fv = f_vector(construct_projective_space(5))
     assert check_binomial_identities(fv, 6)
-    cube = f_vector(_power_of_line(4))
+    cube = f_vector(construct_product(*[P1] * 4))
     assert check_binomial_identities(cube, 2)
     assert not check_binomial_identities(cube, 3)
 
@@ -108,16 +104,16 @@ def test_binomial_identities():
 def test_simplex_criterion():
     for n in range(1, 7):
         assert is_simplex_criterion(f_vector(construct_projective_space(n)))
-    assert not is_simplex_criterion(f_vector(_power_of_line(2)))
+    assert not is_simplex_criterion(f_vector(construct_product(P1, P1)))
     p2 = construct_projective_space(2)
     assert not is_simplex_criterion(f_vector(star_subdivision(
         p2, p2.max_cones[0])))
 
 
 def test_h_vector_palindromy():
-    for fan in (construct_projective_space(4), _power_of_line(5)):
+    for fan in (construct_projective_space(4), construct_product(*[P1] * 5)):
         assert is_palindromic(h_vector(f_vector(fan)))
-    assert h_vector(f_vector(_power_of_line(2))) == (1, 2, 1)
+    assert h_vector(f_vector(construct_product(P1, P1))) == (1, 2, 1)
 
 
 def test_engine_completes_simplex_and_cross_counts():
@@ -304,7 +300,7 @@ def test_degree_sum_identity_small_dims():
 def test_degree_sum_identity_products():
     p2 = construct_projective_space(2)
     p3 = construct_projective_space(3)
-    for fan in (p3, construct_product(p2, p3), _power_of_line(5)):
+    for fan in (p3, construct_product(p2, p3), construct_product(*[P1] * 5)):
         assert degree_sum_identity(fan)
 
 

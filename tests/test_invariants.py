@@ -151,7 +151,7 @@ def test_mori_cone_extremal_class_counts():
     assert len(mori_cone_extremal_classes(construct_projective_space(2))) == 1
     assert len(mori_cone_extremal_classes(_del_pezzo_one())) == 2
     p1 = construct_projective_space(1)
-    cube = construct_product(construct_product(p1, p1), p1)
+    cube = construct_product(p1, p1, p1)
     assert len(mori_cone_extremal_classes(cube)) == 3
     # Three successive point blow-ups of the plane leave six extremal rays.
     fan = construct_projective_space(2)
@@ -230,7 +230,7 @@ def test_product_recognition():
     assert product_of_projective_spaces(construct_product(p1, p2)) == [1, 2]
     assert product_of_projective_spaces(construct_projective_space(4)) == [4]
     assert product_of_projective_spaces(_del_pezzo_one()) is None
-    triple = construct_product(construct_product(p1, p2), p2)
+    triple = construct_product(p1, p2, p2)
     assert product_of_projective_spaces(triple) == [1, 2, 2]
     # (P^1)^2 with a maximal cone listed twice: the collections pass, and
     # only the cone count rejects it.
@@ -244,9 +244,7 @@ def test_product_recognition():
 def test_product_recognition_under_relabelling_and_gl_n_z(relabelled,
                                                           transformed, data):
     parts = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
-    drawn = construct_projective_space(parts[0])
-    for a in parts[1:]:
-        drawn = construct_product(drawn, construct_projective_space(a))
+    drawn = construct_product(*map(construct_projective_space, parts))
     moved, _ = relabelled(drawn, data)
     for fan in (drawn, moved, transformed(drawn, data)):
         assert product_of_projective_spaces(fan) == sorted(parts)
@@ -283,10 +281,7 @@ MUKAI_PEAK_CEILING_MB = 1.12
 
 
 def test_mukai_route_peak_memory_on_a_product_of_lines():
-    p1 = construct_projective_space(1)
-    fan = p1
-    for _ in range(8):
-        fan = construct_product(fan, p1)
+    fan = construct_product(*[construct_projective_space(1)] * 9)
     tracemalloc.start()
     try:
         report = mukai_check(fan)

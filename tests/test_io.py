@@ -241,7 +241,7 @@ def test_polytope_octahedron():
     text = "POLY 3 6\n1 0 0\n0 1 0\n0 0 1\n-1 0 0\n0 -1 0\n0 0 -1\n"
     fan = require_valid(parse_polytope_unchecked(text))
     p1 = construct_projective_space(1)
-    assert fan == construct_product(construct_product(p1, p1), p1)
+    assert fan == construct_product(p1, p1, p1)
 
 
 def test_polytope_origin_must_be_interior():
@@ -270,13 +270,6 @@ def _vertices(text: str) -> list[tuple[int, ...]]:
     return [tuple(map(int, line.split())) for line in text.splitlines()[1:]]
 
 
-def _product(fans):
-    out = fans[0]
-    for fan in fans[1:]:
-        out = construct_product(out, fan)
-    return out
-
-
 P1 = construct_projective_space(1)
 # The face fan of the hexagon; the rays of a product of copies are the
 # vertices of the free sum of hexagons.
@@ -302,9 +295,9 @@ def test_facet_walk_matches_oracle(transformed, data):
         vertices = data.draw(st.lists(
             st.tuples(*[st.integers(-3, 3)] * n), min_size=m, max_size=m))
     else:
-        fan = _product([P1] * data.draw(st.integers(2, 6))
-                       if kind == "cross"
-                       else [HEXAGON] * data.draw(st.integers(1, 2)))
+        fan = construct_product(*(
+            [P1] * data.draw(st.integers(2, 6)) if kind == "cross"
+            else [HEXAGON] * data.draw(st.integers(1, 2))))
         n = fan.dim
         vertices = data.draw(st.permutations(transformed(fan, data).rays))
     expected = _facets_or_error(oracle_facets, vertices, n)
@@ -367,11 +360,11 @@ def test_cross_polytope_in_dimension_ten():
     vertices = [tuple(sign * int(i == j) for j in range(10))
                 for i in range(10) for sign in (1, -1)]
     assert parse_polytope_unchecked(_poly_text(vertices)) == \
-        _product([P1] * 10)
+        construct_product(*[P1] * 10)
 
 
 # (P^1)^10: 20 ray lines from line 2, then 1024 cone lines from line 22.
-_TEN_LINES = serialize_fan(_product([P1] * 10)).split("\n")
+_TEN_LINES = serialize_fan(construct_product(*[P1] * 10)).split("\n")
 _DEEP_ROW = _TEN_LINES[999].split()
 
 
@@ -447,9 +440,9 @@ def test_sorted_face_fan_equals_make_fan_on_input_order(transformed, data):
         vertices = _vertices(path.read_text(encoding="utf-8"))
         fan = _input_order_face_fan(vertices, len(vertices[0]))
     else:
-        fan = _product([P1] * data.draw(st.integers(1, 6))
-                       if kind == "cross"
-                       else [HEXAGON] * data.draw(st.integers(1, 2)))
+        fan = construct_product(*(
+            [P1] * data.draw(st.integers(1, 6)) if kind == "cross"
+            else [HEXAGON] * data.draw(st.integers(1, 2))))
     vertices = data.draw(st.permutations(transformed(fan, data).rays))
     got = parse_polytope_unchecked(_poly_text(vertices))
     assert got == _input_order_face_fan(vertices, fan.dim)

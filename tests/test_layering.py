@@ -1,7 +1,8 @@
 """Module layering of the package: each module imports only the modules
 below it in LAYERS, only at module top, and only names it uses; every
 module-level private name is used somewhere in the package; and every
-public function and class of the layers below io is exported or used."""
+public function and class of the layers below io is exported or used;
+every dataclass field is read somewhere in the package or its tests."""
 
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "toricfano"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "toricfano"
 LAYERS = ("errors", "lattice", "fan", "primitive", "fvector", "invariants",
           "io", "oracle", "cli")
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
@@ -139,3 +141,25 @@ def test_only_fan_names_the_cone_table():
         if "_cone_adjugates" in _mentioned(tree) | imported:
             naming.append(module)
     assert naming == ["fan"]
+
+
+def _is_dataclass(node: ast.AST) -> bool:
+    return isinstance(node, ast.ClassDef) and any(
+        isinstance(d, ast.Name) and d.id == "dataclass" or
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+        and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    # A field is read when some attribute access names it, as in
+    # report.factors; building the record is no use of it, so a field that
+    # nothing reads shows up here.
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    read = {n.attr for p in paths
+            for n in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+            if isinstance(n, ast.Attribute)}
+    unread = [f"{module}.{cls.name}.{field.target.id}" for module in MODULES
+              for cls in ast.walk(_tree(module)) if _is_dataclass(cls)
+              for field in cls.body if isinstance(field, ast.AnnAssign)
+              and field.target.id not in read]
+    assert not unread, f"dataclass fields that nothing reads: {unread}"

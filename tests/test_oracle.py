@@ -38,16 +38,12 @@ from toricfano.oracle import (
 from toricfano.primitive import all_relations, primitive_collections
 
 
-def _power_of_line(n):
-    fan = construct_projective_space(1)
-    for _ in range(n - 1):
-        fan = construct_product(fan, construct_projective_space(1))
-    return fan
+P1 = construct_projective_space(1)
 
 
 def _sample_fans():
     p2 = construct_projective_space(2)
-    fans = [p2, construct_projective_space(4), _power_of_line(3),
+    fans = [p2, construct_projective_space(4), construct_product(P1, P1, P1),
             construct_product(p2, construct_projective_space(3)),
             star_subdivision(p2, p2.max_cones[0])]
     dp = p2
@@ -180,13 +176,13 @@ def test_nonneg_combination_solver():
 
 
 def test_oracle_size_limits():
-    big = _power_of_line(9)
+    big = construct_product(*[P1] * 9)
     with pytest.raises(TooLarge):
         oracle_primitive_collections(big)
     with pytest.raises(TooLarge):
         oracle_f_vector(big)
     with pytest.raises(TooLarge):
-        oracle_mori_extremals(_power_of_line(7))
+        oracle_mori_extremals(construct_product(*[P1] * 7))
     with pytest.raises(TooLarge):
         oracle_pseudo_index(big)
 
@@ -219,7 +215,7 @@ def test_oracles_build_their_own_wall_classes(monkeypatch):
 def test_oracle_mori_extremals_counts_its_own_walls(monkeypatch):
     # (P^1)^5 x P^2: rho 6, within the rho limit, but 96 cones of
     # dimension 7 meet in 96 * 7 / 2 = 336 walls.
-    fan = construct_product(_power_of_line(5), construct_projective_space(2))
+    fan = construct_product(*[P1] * 5, construct_projective_space(2))
     assert len(fan.rays) - fan.dim == 6
     _refuse_fast_walls(monkeypatch)
     with pytest.raises(TooLarge, match="336 walls"):
@@ -229,11 +225,9 @@ def test_oracle_mori_extremals_counts_its_own_walls(monkeypatch):
 def test_corpus_generation_is_deterministic():
     first = generate_corpus()
     second = generate_corpus()
-    assert [e.name for e in first.entries] == \
-        [e.name for e in second.entries]
-    assert [e.fingerprint for e in first.entries] == \
-        [e.fingerprint for e in second.entries]
-    assert [e.fan for e in first.entries] == [e.fan for e in second.entries]
+    assert [e.name for e in first] == [e.name for e in second]
+    assert [e.fingerprint for e in first] == [e.fingerprint for e in second]
+    assert [e.fan for e in first] == [e.fan for e in second]
 
 
 def test_bundled_corpus_matches_regeneration(tmp_path):
@@ -244,7 +238,7 @@ def test_bundled_corpus_matches_regeneration(tmp_path):
     bundled_index = json.loads(
         (bundled / "fingerprints.json").read_text(encoding="utf-8"))
     assert fresh_index == bundled_index
-    for entry in regenerated.entries:
+    for entry in regenerated:
         fresh = (tmp_path / f"{entry.name}.fan").read_text(encoding="utf-8")
         shipped = (bundled / f"{entry.name}.fan").read_text(encoding="utf-8")
         assert fresh == shipped

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations
 from math import comb
 
@@ -187,7 +186,7 @@ def test_relation_classes_are_linear_relations_among_the_rays():
 def test_closed_forms_beyond_the_oracle_limit():
     # (P^1)^10 has 20 rays, past the oracle's 16-ray limit; P^14 has one
     # collection of size dim + 1, the largest the joins can produce.
-    lines = reduce(construct_product, [construct_projective_space(1)] * 10)
+    lines = construct_product(*[construct_projective_space(1)] * 10)
     pairs = {frozenset((i, lines.rays.index(tuple(-x for x in r))))
              for i, r in enumerate(lines.rays)}
     assert len(pairs) == 10
@@ -202,7 +201,7 @@ def test_closed_forms_beyond_the_oracle_limit():
     # f-polynomial sum f[j] t^j is the product of theirs.
     factors = [HEXAGON, HEXAGON, construct_projective_space(2)] + \
         [construct_projective_space(1)] * 3
-    mixed = reduce(construct_product, factors)
+    mixed = construct_product(*factors)
     assert (len(mixed.rays), mixed.dim) == (21, 9)
     expected: set[frozenset] = set()
     f_poly = [1]
