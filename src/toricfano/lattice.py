@@ -4,9 +4,10 @@ Everything runs over arbitrary-precision integers and fractions; no floating
 point is used anywhere. Vectors are plain tuples of ints (or Fractions for
 rational results), matrices are sequences of integer rows. cone_facets,
 the facets of the cone spanned by integer vectors, is the package's one
-convex-hull routine: a double description whose adjacency test is a
-bit-pattern test, an AND of bitsets per candidate pair in place of a scan
-over every other ray.
+convex-hull routine: a double description whose adjacency test counts
+the common tight vectors of a pair where one of its rays is tight at
+exactly d - 1 vectors, and is a bit-pattern test, an AND of bitsets per
+candidate pair in place of a scan over every other ray, where neither is.
 """
 
 from __future__ import annotations
@@ -147,6 +148,19 @@ def adjugate(rows: Sequence[Sequence[int]]
     return sign * d, [[sign * x for x in row[n:]] for row in a]
 
 
+def _rays_tight_at(tight: Sequence[int]) -> dict[int, int]:
+    """b -> the bitset of the rays k whose tight mask tight[k] holds the
+    one-bit mask b: the table behind cone_facets' bit-pattern test."""
+    on: dict[int, int] = {}
+    for k, t in enumerate(tight):
+        ray_bit = 1 << k
+        while t:
+            b = t & -t
+            on[b] = on.get(b, 0) | ray_bit
+            t ^= b
+    return on
+
+
 def cone_facets(vectors: Sequence[Sequence[int]]
                 ) -> list[tuple[IntVector, int]]:
     """The facets of the cone spanned by integer vectors that span Q^d, as
@@ -164,11 +178,16 @@ def cone_facets(vectors: Sequence[Sequence[int]]
       each adjacent pair with v . r_i > 0 > v . r_j into
       (v . r_i) r_j - (v . r_j) r_i, which is tight where both are and
       at v;
-    - two rays are adjacent when their common tight set has at least
-      d - 2 members and no third ray's tight set contains it (Fukuda &
-      Prodon 1996). That is a bit-pattern test (Terzer, ETH Zurich
-      thesis, 2009): once per added vector, on[b] is the bitset of the
-      rays tight at vector b, and the pair (i, j) is adjacent when the
+    - two rays are adjacent when their common tight set has rank d - 2,
+      or equivalently when it has at least d - 2 members and no third
+      ray's tight set contains it (Fukuda & Prodon 1996). An extreme
+      ray's tight vectors have rank d - 1, so when one ray of the pair is
+      tight at exactly d - 1 vectors they are independent, and a common
+      set of exactly d - 2 of them has rank d - 2: the pair is adjacent
+      with no further test. Any other pair gets the bit-pattern test
+      (Terzer, ETH Zurich thesis, 2009): on[b] is the bitset of the rays
+      tight at vector b, built at most once per added vector, when the
+      first such pair turns up, and the pair (i, j) is adjacent when the
       AND of on[b] over the bits b of the common tight set is exactly
       {i, j}. The AND starts from the set of all rays, so an empty common
       set, possible when d = 2, leaves every ray in it.
@@ -195,29 +214,27 @@ def cone_facets(vectors: Sequence[Sequence[int]]
         new_rays = [r for r, x in zip(rays, values) if x >= 0]
         new_tight = [t | bit if x == 0 else t
                      for t, x in zip(tight, values) if x >= 0]
-        # on[b]: the bitset of the current rays tight at the vector of
-        # one-bit mask b.
-        on: dict[int, int] = {}
-        if positive and negative:
-            for k, t in enumerate(tight):
-                ray_bit = 1 << k
-                while t:
-                    b = t & -t
-                    on[b] = on.get(b, 0) | ray_bit
-                    t ^= b
+        # on, from _rays_tight_at, is built for the first pair that the
+        # rank condition leaves open.
+        on: dict[int, int] | None = None
         every_ray = (1 << len(rays)) - 1
         for i in positive:
             ti = tight[i]
+            simple = ti.bit_count() == d - 1
             near = [(j, common) for j in negative
                     if (common := ti & tight[j]).bit_count() >= d - 2]
             for j, common in near:
-                meet, rest = every_ray, common
-                while rest:
-                    b = rest & -rest
-                    meet &= on[b]
-                    rest ^= b
-                if meet != 1 << i | 1 << j:
-                    continue
+                if common.bit_count() > d - 2 or not (
+                        simple or tight[j].bit_count() == d - 1):
+                    if on is None:
+                        on = _rays_tight_at(tight)
+                    meet, rest = every_ray, common
+                    while rest:
+                        b = rest & -rest
+                        meet &= on[b]
+                        rest ^= b
+                    if meet != 1 << i | 1 << j:
+                        continue
                 new_rays.append(make_primitive(
                     [values[i] * y - values[j] * x
                      for x, y in zip(rays[i], rays[j])]))

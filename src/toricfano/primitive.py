@@ -94,28 +94,71 @@ def primitive_collections(fan: Fan) -> list[Collection]:
     return list(fan.cached(_minimal_non_faces))
 
 
-def primitive_relation(fan: Fan, collection: Sequence[int]) -> PrimitiveRelation:
-    """Compute the primitive relation of a collection.
+def _locate(fan: Fan, point: Sequence[int], rest: int
+            ) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
+    """(cone, numerators, size) of a maximal cone where point has
+    nonnegative coordinates, from _cone_coordinates, each cone tried at
+    most once; None when no cone holds it.
 
-    The sum of the collection is located in the first maximal cone, in
-    max_cones order, where its coordinates are all nonnegative, read off
-    the fan's cached cone inverses in integers; zero coefficients are
-    dropped so the retained targets span the minimal containing cone.
+    The guesses, the cones whose mask holds the bit mask rest, come
+    first, in max_cones order, except that a guess that misses the point
+    puts off the guesses through any ray that has a negative coordinate
+    of the point in it. Then come the other cones, in order.
+    """
+    masks = fan.cached(_max_cone_masks)
+    guesses = [index for index, mask in enumerate(masks)
+               if mask & rest == rest]
+    avoid = 0
+    while guesses:
+        index = next((k for k in guesses if not masks[k] & avoid),
+                     guesses[0])
+        guesses.remove(index)
+        nums, size = _cone_coordinates(fan, index, point)
+        if min(nums) >= 0:
+            return fan.max_cones[index], nums, size
+        avoid |= sum(1 << r for r, x in zip(fan.max_cones[index], nums)
+                     if x < 0)
+    for index, mask in enumerate(masks):
+        if mask & rest != rest:
+            nums, size = _cone_coordinates(fan, index, point)
+            if min(nums) >= 0:
+                return fan.max_cones[index], nums, size
+    return None
+
+
+def primitive_relation(fan: Fan, collection: Sequence[int]) -> PrimitiveRelation:
+    """Compute the primitive relation of a primitive collection, given as
+    distinct ray indices in any order.
+
+    The sum of the collection is located in a maximal cone where its
+    coordinates are all nonnegative, read off the fan's cached cone
+    inverses in integers; zero coefficients are dropped so the retained
+    targets span the minimal containing cone. _locate guesses first the
+    cones that hold every ray of the collection but its first. On a fan
+    that passes validate the sum lies in the relative interior of exactly
+    one cone, so every cone that holds it gives the same relation; the
+    other cones are still tried, as the guesses miss the sum on some
+    valid fans.
+
+    Raises ValueError on an empty collection, on a repeated, negative or
+    out-of-range index, and on a collection that is not primitive when
+    its targets meet it.
     """
     collection = tuple(sorted(collection))
     m = len(fan.rays)
+    if not collection:
+        raise ValueError("empty collection")
+    if len(set(collection)) != len(collection) or collection[0] < 0 \
+            or collection[-1] >= m:
+        raise ValueError(f"collection {collection} needs distinct ray "
+                         f"indices in 0..{m - 1}")
     s = lattice.vector_sum([fan.rays[i] for i in collection], fan.dim)
     order = len(collection)
     if all(x == 0 for x in s):
         targets: tuple[int, ...] = ()
         coeffs: tuple[int, ...] = ()
     else:
-        located = None
-        for index, cone in enumerate(fan.max_cones):
-            nums, size = _cone_coordinates(fan, index, s)
-            if all(x >= 0 for x in nums):
-                located = (cone, nums, size)
-                break
+        located = _locate(fan, s, sum(1 << i for i in collection[1:]))
         if located is None:
             raise NotInSupport(
                 f"sum of {collection} lies in no maximal cone")
@@ -132,6 +175,8 @@ def primitive_relation(fan: Fan, collection: Sequence[int]) -> PrimitiveRelation
         targets = tuple(i for i, _ in pairs)
         coeffs = tuple(a for _, a in pairs)
     if set(targets) & set(collection):
+        if collection not in fan.cached(_minimal_non_faces):
+            raise ValueError(f"{collection} is not a primitive collection")
         raise InternalInconsistency(
             f"collection {collection} meets its own target cone {targets}")
     degree = order - sum(coeffs)

@@ -170,7 +170,7 @@ INPUTS = {
                                     for y in (1, -1) for z in (1, -1)]),
     "collinear.poly": "POLY 2 3\n1 0\n2 0\n3 0\n",
     "interior.poly": "POLY 2 4\n3 -1\n-1 3\n-1 -1\n1 0\n",
-    # The hull finds the 4096 facets by the bit-pattern adjacency test.
+    # The hull finds the 4096 simplex facets by the rank test alone.
     "cross_12.poly": _text("POLY 12 24", [
         " ".join(str(s if k == i else 0) for k in range(12))
         for i in range(12) for s in (1, -1)]),

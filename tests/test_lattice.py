@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricfano import lattice
 from toricfano.errors import NotSquare, SingularBasis
 from toricfano.lattice import (
     adjugate,
@@ -272,3 +273,32 @@ def test_cone_facets_join_a_pair_with_no_common_tight_vector():
     # because no third ray exists, so they join into the normal (1, 1).
     assert cone_facets([(1, 0), (0, 1), (-1, 1)]) == \
         [((0, 1), 0b001), ((1, 1), 0b100)]
+
+
+# The cross-polytope of dimension 5 lifted to height 1: its facets are
+# simplices, and in every pair that the double description meets one ray
+# is tight at exactly d - 1 vectors and the two share d - 2, so the rank
+# condition settles every pair. The cone over the 3-cube has square
+# facets, whose four tight vectors leave pairs to the bit-pattern test.
+CROSS_5 = [tuple(s if k == i else 0 for k in range(5)) + (1,)
+           for i in range(5) for s in (1, -1)]
+CUBE_CONE = [(x, y, z, 1) for x in (1, -1) for y in (1, -1) for z in (1, -1)]
+
+
+@pytest.mark.parametrize("vectors, facets, tables", [
+    (CROSS_5, 32, 0), (CUBE_CONE, 6, 1),
+], ids=["cross-polytope-5", "cube-cone"])
+def test_cone_facets_join_pairs_by_rank_or_by_bit_pattern(
+        monkeypatch, vectors, facets, tables):
+    built = []
+    rays_tight_at = lattice._rays_tight_at
+
+    def counting(tight):
+        built.append(tight)
+        return rays_tight_at(tight)
+
+    monkeypatch.setattr(lattice, "_rays_tight_at", counting)
+    got = cone_facets(vectors)
+    assert got == _facets_by_subsets(vectors)
+    assert len(got) == facets
+    assert len(built) == tables

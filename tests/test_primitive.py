@@ -29,7 +29,12 @@ from toricfano.fan import (
 )
 from toricfano.fvector import f_vector
 from toricfano.invariants import mukai_check, wall_curves
-from toricfano.oracle import oracle_f_vector, oracle_primitive_collections
+from toricfano.io import parse_polytope_unchecked
+from toricfano.oracle import (
+    _fraction_coordinates,
+    oracle_f_vector,
+    oracle_primitive_collections,
+)
 from toricfano.primitive import (
     all_relations,
     degrees_summary,
@@ -352,3 +357,106 @@ def test_fan_cached_computes_once_per_fan():
     assert fan.cached(compute) == 1
     assert _blown_up_product().cached(compute) == 2
     assert calls == [fan, fan]
+
+
+P1_P2 = construct_product(construct_projective_space(1),
+                          construct_projective_space(2))
+
+
+@pytest.mark.parametrize("collection, message", [
+    ((), r"^empty collection$"),
+    ((-1, 0), r"^collection \(-1, 0\) needs distinct ray indices in 0\.\.4$"),
+    ((0, 9), r"^collection \(0, 9\) needs distinct ray indices in 0\.\.4$"),
+    ((0, 0), r"^collection \(0, 0\) needs distinct ray indices in 0\.\.4$"),
+    ((1, 0), r"^\(0, 1\) is not a primitive collection$"),
+], ids=["empty", "negative", "out-of-range", "repeated", "face"])
+def test_primitive_relation_rejects_what_is_not_a_collection(collection,
+                                                             message):
+    assert primitive_collections(P1_P2) == [(0, 4), (1, 2, 3)]
+    assert is_cone(P1_P2, (0, 1))
+    with pytest.raises(ValueError, match=message):
+        primitive_relation(P1_P2, collection)
+    assert [primitive_relation(P1_P2, c).class_vector
+            for c in primitive_collections(P1_P2)] == \
+        [(1, 0, 0, 0, 1), (0, 1, 1, 1, 0)]
+
+
+def _scanned_relation(fan, collection):
+    """(targets, coeffs) of the collection's sum, read in every maximal cone
+    that holds it by a Fraction solve; every such cone gives the same."""
+    s = [sum(fan.rays[i][j] for i in collection) for j in range(fan.dim)]
+    if not any(s):
+        return (), ()
+    found = set()
+    for cone in fan.max_cones:
+        coords = _fraction_coordinates([fan.rays[i] for i in cone], s)
+        if coords is not None and min(coords) >= 0:
+            pairs = sorted((i, c) for i, c in zip(cone, coords) if c)
+            found.add((tuple(i for i, _ in pairs),
+                       tuple(c for _, c in pairs)))
+    (relation,) = found
+    return relation
+
+
+def _assert_relations_match_the_scan(fan):
+    for rel in all_relations(fan):
+        assert (rel.targets, rel.coeffs) == \
+            _scanned_relation(fan, rel.collection)
+
+
+def test_relations_match_a_scan_of_every_cone_on_the_corpus(all_corpus_fans):
+    for fan in all_corpus_fans:
+        _assert_relations_match_the_scan(fan)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_relations_match_a_scan_of_every_cone_under_gl_n_z(drawn_fan,
+                                                           transformed, data):
+    _assert_relations_match_the_scan(transformed(drawn_fan(data), data))
+
+
+def test_a_sum_in_no_guessed_cone_is_found_in_another():
+    # A valid fan that is not Fano: the rays (0, 1) and (1, 0) sum to the
+    # ray (1, 1), which lies in no cone through (1, 0), so every guess
+    # misses and the relation comes from the cones after them.
+    fan = make_fan(2, [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, -1)],
+                   [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+    assert validate(fan).ok
+    collection = (fan.rays.index((0, 1)), fan.rays.index((1, 0)))
+    assert collection in primitive_collections(fan)
+    rel = primitive_relation(fan, collection)
+    assert (rel.targets, rel.coeffs) == ((fan.rays.index((1, 1)),), (1,))
+    assert not any(collection[1] in c and rel.targets[0] in c
+                   for c in fan.max_cones)
+    _assert_relations_match_the_scan(fan)
+
+
+@pytest.mark.parametrize("copies", [2, 3])
+@settings(max_examples=3, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_hexagon_sums_locate_each_relation_in_at_most_two_cones(
+        transformed, copies, data):
+    # The face fan of a free sum of hexagons, moved. A sum of two rays of
+    # one hexagon is the ray between them: the first guess holds the
+    # second ray, and if it misses, the next guess avoids the ray with a
+    # negative coordinate there.
+    product = construct_product(*[HEXAGON] * copies)
+    vertices = data.draw(st.permutations(transformed(product, data).rays))
+    fan = parse_polytope_unchecked(
+        f"POLY {product.dim} {len(vertices)}\n"
+        + "".join(" ".join(map(str, v)) + "\n" for v in vertices))
+    _assert_relations_match_the_scan(fan)
+    calls = []
+    coordinates = primitive._cone_coordinates
+
+    def counting(fan, index, target):
+        calls.append(index)
+        return coordinates(fan, index, target)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(primitive, "_cone_coordinates", counting)
+        for collection in primitive_collections(fan):
+            calls.clear()
+            if primitive_relation(fan, collection).targets:
+                assert 1 <= len(calls) <= 2
